@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import threading
 import time
 import warnings
@@ -128,6 +129,30 @@ class CacheInfo:
     maxsize: int
     tier_hits: int = 0
     canonical_hits: int = 0
+
+
+_node_name = operator.attrgetter("name")
+
+
+def _same_instance(a: MulticastSet, b: MulticastSet) -> bool:
+    """Whether two instances serialize identically.
+
+    Same names, same overheads and latency, *and* the same number types:
+    ``MulticastSet`` equality treats ``2 == 2.0``, but the two serialize
+    differently, so a cached result is reused verbatim only on a match
+    here.
+    """
+    if a is b:
+        return True
+    return (
+        a._sends == b._sends
+        and a._receives == b._receives
+        and a.latency == b.latency
+        and type(a.latency) is type(b.latency)
+        and all(map(operator.is_, map(type, a._sends), map(type, b._sends)))
+        and all(map(operator.is_, map(type, a._receives), map(type, b._receives)))
+        and all(map(operator.eq, map(_node_name, a.nodes), map(_node_name, b.nodes)))
+    )
 
 
 def _options_key(options: Dict[str, Any]) -> str:
@@ -587,13 +612,15 @@ class Planner:
     def _materialize_hit(self, cached: PlanResult, request: PlanRequest) -> PlanResult:
         """Adapt a cached result to the requesting instance.
 
-        Byte-equal instances get the PR-4 fast path (field fix-ups only).
+        Byte-equal instances get the fast path (field fix-ups only).
         An *equivalent* instance — same canonical key, different bytes —
         gets the schedule re-bound by index and every instance-derived
         field recomputed from the request's own overheads, exactly as a
-        direct solve would, so the hit is bit-identical to solving.
+        direct solve would, so the hit is bit-identical to solving.  That
+        includes an instance equal in value but not in number type
+        (``2`` vs ``2.0``): equal under ``==``, different on the wire.
         """
-        if cached.schedule.multicast == request.instance:
+        if _same_instance(cached.schedule.multicast, request.instance):
             # elapsed_s is 0.0 on hits by contract: nothing was solved
             return replace(cached, cache_hit=True, tag=request.tag, elapsed_s=0.0)
         with self._lock:

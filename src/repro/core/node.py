@@ -26,7 +26,16 @@ __all__ = ["Node", "overhead_key", "same_type"]
 Number = float  # ints are accepted everywhere; the paper assumes ints
 
 
+_INF = float("inf")
+
+
 def _check_positive(value: Number, what: str, name: str) -> None:
+    # fast path for the overwhelmingly common plain positive finite number
+    # (every decoded request, result and store record); anything else —
+    # bool, subclasses, NaN, infinities, non-positives — takes the full
+    # checks below, so acceptance and error messages are unchanged
+    if (type(value) is float or type(value) is int) and 0 < value < _INF:
+        return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ModelError(f"{what} of node {name!r} must be a number, got {value!r}")
     if not value > 0:

@@ -2,18 +2,21 @@
 
 These are verbatim copies of the DP and greedy implementations as they
 stood before the iterative-table / trusted-construction optimizations in
-:mod:`repro.core.dp` and :mod:`repro.core.greedy`.  They exist for two
+:mod:`repro.core.dp` and :mod:`repro.core.greedy`, and of the eager
+canonical-form derivation :mod:`repro.core.canonical` used before its key
+was hashed straight from the instance's overheads.  They exist for two
 reasons:
 
 * **bit-identity** — the optimized kernels must return *exactly* the same
   values and schedules (``tests/perf/test_reference_identity.py`` sweeps
   the full conformance ``quick`` corpus asserting ``==`` on floats and
   schedule trees);
-* **speedup accounting** — the ``dp_scaling`` and ``greedy_scaling``
-  perf kernels time these references alongside the optimized code and
-  stamp ``speedup_vs_reference`` into every ``BENCH_*.json`` record,
-  where the committed floors (``>= 3x`` DP, ``>= 2x`` greedy) are
-  enforced machine-independently by ``perf compare``.
+* **speedup accounting** — the ``dp_scaling``, ``greedy_scaling`` and
+  ``canonical_key`` perf kernels time these references alongside the
+  optimized code and stamp ``speedup_vs_reference`` into every
+  ``BENCH_*.json`` record, where the committed floors (``>= 3x`` DP,
+  ``>= 2x`` greedy and canonical key) are enforced machine-independently
+  by ``perf compare``.
 
 Nothing here is exported through :mod:`repro.api`; production code must
 never import the reference kernels.
@@ -21,6 +24,10 @@ never import the reference kernels.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -28,10 +35,13 @@ import heapq
 
 from repro.core.dp import TypeSystem
 from repro.core.multicast import MulticastSet
+from repro.core.node import Node
 from repro.core.schedule import Schedule
 
 __all__ = [
+    "ReferenceCanonicalForm",
     "ReferenceDPCore",
+    "reference_canonicalize",
     "reference_solve_dp",
     "reference_greedy_schedule",
 ]
@@ -157,3 +167,71 @@ def reference_greedy_schedule(mset: MulticastSet) -> Schedule:
         tick += 1
         heapq.heappush(heap, (c + mset.send(p), tick, p))
     return Schedule(mset, {v: kids for v, kids in enumerate(children) if kids})
+
+
+# ----------------------------------------------------------------------
+# canonical form: the eager derivation
+# ----------------------------------------------------------------------
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()[:32]
+
+
+@dataclass(frozen=True)
+class ReferenceCanonicalForm:
+    """Every field of the eager canonical form, computed up front."""
+
+    mset: MulticastSet
+    scale: float
+    key: str
+    network_key: str
+
+
+def reference_canonicalize(mset: MulticastSet) -> ReferenceCanonicalForm:
+    """The eager canonical form: validated nodes, a second instance, two
+    digests — all built before the key is known."""
+    nodes = mset.nodes
+    largest = max(mset.latency, *(nd.send_overhead for nd in nodes),
+                  *(nd.receive_overhead for nd in nodes))
+    smallest = min(mset.latency, *(nd.send_overhead for nd in nodes),
+                   *(nd.receive_overhead for nd in nodes))
+    shift = math.frexp(largest)[1] - 1
+    if math.ldexp(float(smallest), -shift) < _SMALLEST_NORMAL:
+        shift = 0  # pragma: no cover - pathological >2^1000 dynamic range
+
+    def down(value: float) -> float:
+        return math.ldexp(float(value), -shift)
+
+    source = Node("p0", down(mset.source.send_overhead),
+                  down(mset.source.receive_overhead))
+    dests = [
+        Node(f"d{i}", down(d.send_overhead), down(d.receive_overhead))
+        for i, d in enumerate(mset.destinations, start=1)
+    ]
+    latency = down(mset.latency)
+    canonical = MulticastSet(source, dests, latency, validate_correlation=False)
+    key = _digest(
+        {
+            "v": "repro/canonical-v1",
+            "latency": latency,
+            "source": source.type_key,
+            "destinations": [d.type_key for d in canonical.destinations],
+        }
+    )
+    network_key = _digest(
+        {
+            "v": "repro/canonical-network-v1",
+            "latency": latency,
+            "types": [list(t) for t in canonical.type_keys()],
+        }
+    )
+    return ReferenceCanonicalForm(
+        mset=canonical,
+        scale=math.ldexp(1.0, shift),
+        key=key,
+        network_key=network_key,
+    )

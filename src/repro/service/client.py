@@ -18,9 +18,12 @@ Failure handling
 ----------------
 A request abandoned mid-flight (read timeout, transport error,
 out-of-order response) poisons the stream: its stale response may still
-arrive, so the connection fails closed.  Recovery is explicit —
-:meth:`ServiceClient.reconnect` drops the old socket and opens a fresh
-one with a fresh id counter (drain-safe: stale responses can never match
+arrive, so the connection fails closed.  So does a request whose frame
+the server could not read (an ``error`` with id ``null``: an over-limit
+or malformed line), which is raised as a permanent
+:class:`~repro.exceptions.ServiceError`, never retried.  Recovery is
+explicit — :meth:`ServiceClient.reconnect` drops the old socket and
+opens a fresh one with a fresh id counter (drain-safe: stale responses can never match
 a new id on a new connection) — or automatic, by constructing the client
 with a :class:`RetryPolicy`: idempotent verbs (``plan``, ``ping``,
 ``metrics``, ``session-resume``) are then retried with exponential
@@ -266,7 +269,15 @@ class ServiceClient:
                     self._abandon()
                     raise ServiceRetryableError("service closed the connection")
                 response = protocol.decode(line)
-                if response.get("id") == message_id:
+                reply_id = response.get("id")
+                if response.get("type") == "error" and reply_id is None:
+                    # the server could not read this request's frame (too
+                    # long or malformed), so it could not echo the id; the
+                    # stream is no longer in step (the server closes it
+                    # after an over-limit frame): fail closed
+                    self._abandon()
+                    reply_id = message_id
+                if reply_id == message_id:
                     if response.get("type") == "error":
                         text = response.get("error", "unknown service error")
                         if _retryable_wire_error(text):

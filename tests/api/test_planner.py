@@ -1,5 +1,8 @@
 """Planner engine: caching, batching, determinism, error handling."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -13,6 +16,7 @@ from repro.api import (
 )
 from repro.core.multicast import MulticastSet
 from repro.exceptions import ReproError, SolverError
+from repro.io.serialization import plan_result_to_dict
 from repro.workloads.clusters import bounded_ratio_cluster
 from repro.workloads.generator import multicast_from_cluster
 
@@ -23,6 +27,14 @@ def _suite(count=12, n=8):
         nodes = bounded_ratio_cluster(n + 1, seed)
         out.append(multicast_from_cluster(nodes, latency=1 + seed % 2, seed=seed))
     return out
+
+
+def _wire_bytes(result) -> str:
+    """A result's serialized form minus the per-call fields."""
+    payload = plan_result_to_dict(result)
+    for volatile in ("elapsed_s", "cache_hit"):
+        payload.pop(volatile)
+    return json.dumps(payload, sort_keys=True)
 
 
 class TestPlan:
@@ -99,6 +111,28 @@ class TestCache:
         planner = Planner()
         planner.plan(fig1_mset, solver="greedy")
         assert planner.plan(clone, solver="greedy").cache_hit
+
+    @pytest.mark.parametrize("solver", ["greedy", "greedy+reversal", "dp"])
+    @pytest.mark.parametrize("cached_first", ["int", "float"])
+    def test_number_type_twin_hit_is_byte_identical(self, solver, cached_first):
+        """``2 == 2.0``, but the two serialize differently: a hit for the
+        other number type must answer with the request's own types."""
+        ints = MulticastSet.from_overheads((2, 3), [(1, 2), (4, 5), (4, 5)], 1)
+        floats = MulticastSet.from_overheads(
+            (2.0, 3.0), [(1.0, 2.0), (4.0, 5.0), (4.0, 5.0)], 1.0
+        )
+        first, second = (ints, floats) if cached_first == "int" else (floats, ints)
+        planner = Planner()
+        for include_bounds in (False, True):
+            request = PlanRequest(
+                instance=second, solver=solver, include_bounds=include_bounds
+            )
+            planner.plan(replace(request, instance=first))
+            hit = planner.plan(request)
+            assert hit.cache_hit
+            direct = Planner(cache_size=0).plan(request)
+            assert _wire_bytes(hit) == _wire_bytes(direct)
+        assert planner.cache_info().canonical_hits == 2
 
     def test_different_solver_or_options_miss(self, fig1_mset):
         planner = Planner()

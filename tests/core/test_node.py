@@ -1,8 +1,14 @@
 """Unit tests for repro.core.node."""
 
-import pytest
+import math
+from decimal import Decimal
+from fractions import Fraction
 
-from repro.core.node import Node, overhead_key, same_type
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.node import Node, _check_positive, overhead_key, same_type
 from repro.exceptions import ModelError
 
 
@@ -97,3 +103,83 @@ class TestNodeTransforms:
 
     def test_str_contains_overheads(self):
         assert "s=2" in str(Node("w", 2, 3)) and "r=3" in str(Node("w", 2, 3))
+
+
+def _old_check_positive(value, what, name):
+    """The overhead check as it stood before its plain-number fast path."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ModelError(f"{what} of node {name!r} must be a number, got {value!r}")
+    if not value > 0:
+        raise ModelError(f"{what} of node {name!r} must be positive, got {value!r}")
+    if value != value or value in (float("inf"), float("-inf")):
+        raise ModelError(f"{what} of node {name!r} must be finite, got {value!r}")
+
+
+def _outcome(check, value):
+    try:
+        check(value, "send overhead", "w0")
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Weird(float):
+    """A float subclass whose comparisons lie: only the full path sees it."""
+
+    def __gt__(self, other):
+        return False
+
+
+class TestCheckParity:
+    """The fast path accepts and rejects exactly what the old check did,
+    with the same messages."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1, 2, 10**400, -(10**400), 0, -1, 0.0, -0.0, 5e-324, 1e308,
+            1.5, -2.5, float("nan"), float("inf"), float("-inf"),
+            True, False, _Float(2.0), _Float(float("nan")), _Float(-1.0),
+            _Int(3), _Int(0), _Weird(2.0), "1", None, [1],
+            Decimal("1.5"), Fraction(1, 2), complex(1, 0),
+        ],
+        ids=repr,
+    )
+    def test_explicit_values(self, value):
+        assert _outcome(_check_positive, value) == _outcome(
+            _old_check_positive, value
+        )
+
+    def test_numpy_scalars(self):
+        np = pytest.importorskip("numpy")
+        for value in (
+            np.float64(2.5), np.float64(0.0), np.float64("nan"),
+            np.float64("inf"), np.int64(3), np.float32(1.5), np.bool_(True),
+        ):
+            assert _outcome(_check_positive, value) == _outcome(
+                _old_check_positive, value
+            ), value
+
+    @given(
+        value=st.one_of(
+            st.integers(),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+            st.floats(allow_nan=True).map(_Float),
+            st.integers().map(_Int),
+        )
+    )
+    def test_any_number(self, value):
+        assert _outcome(_check_positive, value) == _outcome(
+            _old_check_positive, value
+        )
+        if _outcome(_check_positive, value) is None:
+            assert 0 < value < math.inf

@@ -5,6 +5,8 @@ the assertions check the *claims*, not just that code executes: Theorem 1
 holds, reversal never regresses, DP == exact, Corollary 1 equality, etc.
 """
 
+import math
+
 import pytest
 
 from repro.analysis.tables import Table
@@ -43,16 +45,93 @@ class TestRatioBound:
                 assert h == "yes"
 
 
+class _CountingHeapq:
+    """A stand-in for ``heapq`` that counts operations and comparisons.
+
+    The sift routines mirror the standard library's pure-Python heap, with
+    every ``<`` routed through a counter, so the greedy's heap work is
+    measured exactly — the same on every machine and every run.
+    """
+
+    def __init__(self):
+        self.ops = 0
+        self.comparisons = 0
+
+    def _less(self, a, b):
+        self.comparisons += 1
+        return a < b
+
+    def heappush(self, heap, item):
+        self.ops += 1
+        heap.append(item)
+        self._sift_toward_root(heap, len(heap) - 1)
+
+    def heapreplace(self, heap, item):
+        self.ops += 1
+        top, heap[0] = heap[0], item
+        self._sift_to_leaf(heap)
+        return top
+
+    def _sift_toward_root(self, heap, pos):
+        item = heap[pos]
+        while pos > 0:
+            parent = (pos - 1) >> 1
+            if not self._less(item, heap[parent]):
+                break
+            heap[pos] = heap[parent]
+            pos = parent
+        heap[pos] = item
+
+    def _sift_to_leaf(self, heap):
+        end, pos, item = len(heap), 0, heap[0]
+        child = 1
+        while child < end:
+            right = child + 1
+            if right < end and not self._less(heap[child], heap[right]):
+                child = right
+            heap[pos] = heap[child]
+            pos, child = child, 2 * child + 1
+        heap[pos] = item
+        self._sift_toward_root(heap, pos)
+
+
 class TestScalingExperiments:
-    def test_greedy_scaling_fits_nlogn(self):
-        # sizes start at 512: the optimized greedy finishes 256 nodes in
-        # tens of microseconds, where scheduler jitter drowns the fit
-        tables = scaling.run(sizes=(512, 1024, 2048, 4096), repeats=5)
-        note = tables[0].notes[0]
-        assert "R^2" in note
-        # extract the nlogn fit quality and require a sane fit
-        r2 = float(note.split("=")[1].split(";")[0])
-        assert r2 > 0.95
+    def test_greedy_scaling_fits_nlogn(self, monkeypatch):
+        """Lemma 1 on a deterministic signal: heap comparisons, not time.
+
+        The greedy binds ``heapq.heappush``/``heapreplace`` per call, so a
+        counting shim swapped in for the module's ``heapq`` sees all of
+        its priority-queue work.  Every bound below is exact and
+        machine-independent.
+        """
+        import repro.core.greedy as greedy
+        from repro.analysis.complexity import best_model, fit_nlogn
+        from repro.workloads.clusters import bounded_ratio_cluster
+        from repro.workloads.generator import multicast_from_cluster
+
+        sizes = (512, 1024, 2048, 4096, 8192)
+        comparisons = []
+        for n in sizes:
+            nodes = bounded_ratio_cluster(n + 1, 0)
+            mset = multicast_from_cluster(nodes, latency=2, source="slowest")
+            expected = greedy.greedy_schedule(mset)
+            shim = _CountingHeapq()
+            with monkeypatch.context() as patch:
+                patch.setattr(greedy, "heapq", shim)
+                counted = greedy.greedy_schedule(mset)
+            # the shim is a faithful heap: the schedule does not change
+            assert counted == expected
+            assert counted.reception_times == expected.reception_times
+            # one heap operation per inserted destination ...
+            assert shim.ops == n
+            # ... each costing at most 2 log2(heap size) comparisons
+            assert shim.comparisons <= 2 * n * math.log2(n)
+            comparisons.append(shim.comparisons)
+        assert fit_nlogn(sizes, comparisons).r_squared > 0.99
+        assert best_model(sizes, comparisons).model == "nlogn"
+        # the wall-clock experiment itself still runs and reports its fit
+        tables = scaling.run(sizes=(256, 512), repeats=1)
+        assert "R^2" in tables[0].notes[0]
 
     def test_dp_optimality_table_all_equal(self):
         opt_table, _scale = dp_scaling.run(
