@@ -10,6 +10,7 @@ proven ``permutation`` metamorphic invariant) and power-of-two rescalings
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,24 @@ class TestCanonicalForm:
     @given(mset=multicast_sets(max_n=6))
     def test_correlation_flag_preserved(self, mset):
         assert mset.canonical_form().mset.correlated == mset.correlated
+
+    @given(mset=multicast_sets(max_n=6))
+    def test_fields_are_read_only(self, mset):
+        form = canonicalize(mset)
+        for field in ("key", "scale", "mset", "network_key"):
+            with pytest.raises(AttributeError):
+                setattr(form, field, getattr(form, field))
+
+    @given(mset=multicast_sets())
+    def test_equality_is_by_key_and_scale(self, mset):
+        form = canonicalize(mset)
+        twin = canonicalize(_renamed(mset, "node"))
+        assert twin is not form
+        assert twin == form and hash(twin) == hash(form)
+        assert (twin.mset, twin.network_key) == (form.mset, form.network_key)
+        doubled = canonicalize(_scaled(mset, 2.0))
+        assert doubled.key == form.key and doubled != form
+        assert canonicalize(_scaled(mset, 3.0)) != form
 
 
 class TestRoundTrip:
