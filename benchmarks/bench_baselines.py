@@ -14,7 +14,11 @@ from repro.workloads.generator import multicast_from_cluster
 
 N = 128
 
-SCHEDULERS = [e.name for e in solver_items() if not e.capabilities.exact]
+SCHEDULERS = [
+    e.name
+    for e in solver_items()
+    if not (e.capabilities.exact or e.capabilities.multi_group)
+]
 
 
 def _instance():

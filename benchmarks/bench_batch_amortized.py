@@ -10,6 +10,7 @@ timed halves are reported side by side and the outputs asserted identical.
 """
 
 from repro.api import Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 
 TOP = 12
@@ -48,7 +49,7 @@ def test_per_instance_sweep(benchmark):
     requests = _sweep()
 
     def per_instance():
-        return Planner(cache_size=0, reuse_tables=False).plan_batch(
+        return Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
             requests, group_solve=False
         )
 
@@ -62,7 +63,7 @@ def test_group_equals_per_instance():
     """Non-timed: the contract — grouping changes nothing but wall-clock."""
     requests = _sweep()
     grouped = Planner(cache_size=0).plan_batch(requests, group_solve=True)
-    direct = Planner(cache_size=0, reuse_tables=False).plan_batch(
+    direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
         requests, group_solve=False
     )
     assert grouped.values() == direct.values()

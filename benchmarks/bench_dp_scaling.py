@@ -7,6 +7,7 @@ bound on the small configurations.
 import pytest
 
 from repro.api import Planner
+from repro.api.tables import TableCacheConfig
 from repro.experiments.dp_scaling import TYPE_SETS, _split
 from repro.workloads.clusters import limited_type_cluster
 from repro.workloads.generator import multicast_from_cluster
@@ -35,7 +36,7 @@ def test_dp_polynomial_degree():
     """Non-timed: log-log slope stays at or below Theorem 2's 2k."""
     from repro.analysis.complexity import fit_power
 
-    planner = Planner(cache_size=0, reuse_tables=False)
+    planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
     for k, sizes in ((2, (16, 32, 48, 64)), (3, (9, 15, 21, 27))):
         times = []
         for n in sizes:

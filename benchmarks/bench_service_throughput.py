@@ -20,6 +20,7 @@ schedule) purely from the persistent store.
 import time
 
 from repro.api import Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 from repro.service import InProcessClient, PlanningService
 
@@ -71,7 +72,7 @@ def _cold_service(store_path=None):
     # cache_size=0: no LRU, so every benchmark round measures the same path
     # (real solves cold, store reads warm) instead of memory hits
     return PlanningService(
-        planner=Planner(cache_size=0, reuse_tables=False),
+        planner=Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)),
         store_path=store_path,
         num_shards=2,
         worker_mode="thread",

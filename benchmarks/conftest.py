@@ -9,6 +9,7 @@ doubles as a results table.
 import pytest
 
 from repro.api import Planner
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 
 collect_ignore: list = []
@@ -32,4 +33,4 @@ def fig1_mset() -> MulticastSet:
 def planner() -> Planner:
     """Cache- and table-reuse-disabled planner: timed kernels must
     measure real solves, not LRU hits or optimal-table lookups."""
-    return Planner(cache_size=0, reuse_tables=False)
+    return Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))

@@ -1,7 +1,9 @@
 """Multicast schedulers: the paper's algorithms plus related-work baselines.
 
-All schedulers share the ``(MulticastSet) -> Schedule`` signature and are
-discoverable by name through :func:`repro.algorithms.get_scheduler`:
+All schedulers share the ``(MulticastSet) -> Schedule`` signature.  They
+are registered by name in the package's one solver registry,
+:mod:`repro.api.solvers`, and run by name through
+``get_solver(name)(mset).schedule``:
 
 ========================  ====================================================
 name                      algorithm
@@ -20,13 +22,6 @@ name                      algorithm
 ========================  ====================================================
 """
 
-from repro.algorithms.registry import (
-    Scheduler,
-    available_schedulers,
-    get_scheduler,
-    register,
-    scheduler_items,
-)
 from repro.algorithms.paper import greedy, greedy_reversed
 from repro.algorithms.baselines import (
     linear_chain,
@@ -44,11 +39,6 @@ from repro.algorithms.local_search import (
 from repro.algorithms.postal import effective_lambda, postal_count, postal_shape, postal_tree
 
 __all__ = [
-    "Scheduler",
-    "register",
-    "get_scheduler",
-    "available_schedulers",
-    "scheduler_items",
     "greedy",
     "greedy_reversed",
     "sequential_star",

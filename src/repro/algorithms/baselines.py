@@ -21,14 +21,12 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.algorithms.registry import register
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 
 __all__ = ["sequential_star", "sequential_star_naive", "linear_chain", "random_tree"]
 
 
-@register("star", "source sends everything; slow receivers served first")
 def sequential_star(mset: MulticastSet) -> Schedule:
     """Star with the optimal transmission order.
 
@@ -40,13 +38,11 @@ def sequential_star(mset: MulticastSet) -> Schedule:
     return Schedule(mset, {0: order})
 
 
-@register("star-naive", "source sends everything in canonical overhead order")
 def sequential_star_naive(mset: MulticastSet) -> Schedule:
     """Star serving fast nodes first — the worst natural ordering."""
     return Schedule(mset, {0: list(range(1, mset.n + 1))})
 
 
-@register("chain", "linear forwarding pipeline, fastest senders first")
 def linear_chain(mset: MulticastSet) -> Schedule:
     """Each node forwards to the next; fast nodes placed early in the chain.
 
@@ -75,8 +71,3 @@ def random_tree(mset: MulticastSet, seed: int = 0) -> Schedule:
         children.setdefault(parent, []).append(node)
         in_tree.append(node)
     return Schedule(mset, children)
-
-
-@register("random", "seeded uniformly random recruitment tree")
-def _random_tree_default(mset: MulticastSet) -> Schedule:
-    return random_tree(mset, seed=0)

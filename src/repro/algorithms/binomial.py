@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.algorithms.registry import register
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 
@@ -44,13 +43,11 @@ def binomial_tree_children(ids: Sequence[int]) -> Dict[int, List[int]]:
     return children
 
 
-@register("binomial", "classic binomial tree over the canonical node order")
 def binomial(mset: MulticastSet) -> Schedule:
     """Binomial tree; canonical order (fast destinations recruited first)."""
     return Schedule(mset, binomial_tree_children(list(range(mset.n + 1))))
 
 
-@register("binomial-ff", "binomial tree, explicitly fastest-sender-first placement")
 def binomial_fastest_first(mset: MulticastSet) -> Schedule:
     """Binomial tree with destinations ordered by *send* overhead.
 

@@ -11,7 +11,6 @@ and latency (the paper's Section 1 argument for the richer model of [3]).
 
 from __future__ import annotations
 
-from repro.algorithms.registry import register
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 from repro.model.heterogeneous_node import node_model_schedule
@@ -19,8 +18,6 @@ from repro.model.heterogeneous_node import node_model_schedule
 __all__ = ["fastest_node_first"]
 
 
-@register("fnf", "fastest-node-first greedy of the node model [2], "
-                 "evaluated under the receive-send model")
 def fastest_node_first(mset: MulticastSet) -> Schedule:
     """Tree of the node-model greedy, timed with receive-send semantics."""
     return node_model_schedule(mset)

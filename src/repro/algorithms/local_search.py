@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.algorithms.registry import register
 from repro.core.leaf_reversal import greedy_with_reversal, reverse_leaves
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
@@ -196,7 +195,6 @@ def improve_schedule(
     )
 
 
-@register("greedy+ls", "greedy + reversal + first-improvement local search")
 def local_search_schedule(mset: MulticastSet) -> Schedule:
     """Greedy + reversal seed, improved by hill climbing."""
     return improve_schedule(greedy_with_reversal(mset)).schedule

@@ -1,8 +1,7 @@
-"""The paper's own algorithms wrapped as registered schedulers."""
+"""The paper's own algorithms as plain ``(MulticastSet) -> Schedule`` schedulers."""
 
 from __future__ import annotations
 
-from repro.algorithms.registry import register
 from repro.core.greedy import greedy_schedule
 from repro.core.leaf_reversal import greedy_with_reversal
 from repro.core.multicast import MulticastSet
@@ -11,13 +10,11 @@ from repro.core.schedule import Schedule
 __all__ = ["greedy", "greedy_reversed"]
 
 
-@register("greedy", "the paper's O(n log n) greedy (Section 2)")
 def greedy(mset: MulticastSet) -> Schedule:
     """Plain greedy — layered, minimum D_T among layered schedules."""
     return greedy_schedule(mset)
 
 
-@register("greedy+reversal", "greedy followed by the Section 3 leaf reversal")
 def greedy_reversed(mset: MulticastSet) -> Schedule:
     """Greedy with the paper's practical leaf-reversal refinement."""
     return greedy_with_reversal(mset)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from repro.algorithms.registry import register
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 from repro.exceptions import SolverError
@@ -96,7 +95,6 @@ def effective_lambda(mset: MulticastSet) -> int:
     return max(1, round((mean_send + mset.latency + mean_recv) / mean_send))
 
 
-@register("postal", "Bar-Noy/Kipnis postal-optimal shape fitted to the instance")
 def postal_tree(mset: MulticastSet) -> Schedule:
     """Postal-optimal shape, fastest nodes on earliest-informed positions."""
     lam = effective_lambda(mset)

@@ -36,7 +36,6 @@ import json
 import operator
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -337,14 +336,9 @@ class Planner:
         budget, the DP build backend, session pinning, and the snapshot
         directory for zero-copy warm attach.  Answers through a table are
         bit-identical to direct solves.  Defaults to
-        ``TableCacheConfig()`` (reuse on, no snapshots).
-    reuse_tables:
-        Shorthand for ``TableCacheConfig(enabled=...)``: benchmarks and
-        timing experiments that must measure real solves pass ``False``.
-        Not combinable with an explicit ``table_config``.
-    table_cache_states:
-        Deprecated alias for ``TableCacheConfig(max_total_states=...)``;
-        emits :class:`DeprecationWarning` (removal noted in API.md).
+        ``TableCacheConfig()`` (reuse on, no snapshots); benchmarks and
+        timing experiments that must measure real solves pass
+        ``TableCacheConfig(enabled=False)``.
 
     Examples
     --------
@@ -360,38 +354,11 @@ class Planner:
         cache_size: int = 256,
         default_solver: str = DEFAULT_SOLVER,
         cache_tiers: Optional[Iterable[CacheTier]] = None,
-        reuse_tables: bool = True,
-        table_cache_states: Optional[int] = None,
         table_config: Optional[TableCacheConfig] = None,
     ) -> None:
         if cache_size < 0:
             raise ReproError(f"cache_size must be >= 0, got {cache_size}")
-        if table_config is not None:
-            if table_cache_states is not None:
-                raise ReproError(
-                    "pass either table_config or the deprecated "
-                    "table_cache_states, not both"
-                )
-            if not reuse_tables:
-                raise ReproError(
-                    "reuse_tables=False conflicts with table_config; "
-                    "use TableCacheConfig(enabled=False)"
-                )
-            config = table_config.validate()
-        else:
-            config = TableCacheConfig(enabled=reuse_tables)
-            if table_cache_states is not None:
-                warnings.warn(
-                    "table_cache_states is deprecated; pass "
-                    "table_config=TableCacheConfig(max_total_states=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                if table_cache_states < 1:
-                    raise ReproError(
-                        f"table_cache_states must be >= 1, got {table_cache_states}"
-                    )
-                config = replace(config, max_total_states=table_cache_states)
+        config = (TableCacheConfig() if table_config is None else table_config).validate()
         self._cache: "OrderedDict[CacheKey, PlanResult]" = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
@@ -832,7 +799,7 @@ class Planner:
         max_states: int,
     ) -> Optional[OptimalTable]:
         """A table for one group-solve bucket: cached when reuse is on,
-        batch-local otherwise (``reuse_tables=False`` still amortizes
+        batch-local otherwise (``TableCacheConfig(enabled=False)`` still amortizes
         within the batch when group-solve is explicitly requested)."""
         if self._tables is not None:
             return self._tables.acquire_box(type_keys, latency, counts, max_states)

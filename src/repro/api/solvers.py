@@ -1,14 +1,13 @@
 """Capability-aware solver registry: every planning strategy behind one name.
 
-The low-level :mod:`repro.algorithms.registry` stores bare
-``(MulticastSet) -> Schedule`` callables; the exact solvers
+The only solver registry of the package.  The ``(MulticastSet) -> Schedule``
+schedulers of :mod:`repro.algorithms`, the exact solvers
 (:func:`repro.core.dp.solve_dp`, :func:`repro.core.brute_force.solve_exact`)
-historically lived outside it, forcing the CLI and experiments to
-special-case them.  This module unifies all of them: each solver registers a
-:class:`SolverEntry` carrying *capability metadata* — whether it is exact,
-the largest instance it is practical for, how many workstation types it
-tolerates, its complexity class — and is resolved from a single *spec
-string*::
+and the multi-group strategies all register here from one built-in table;
+each is a :class:`SolverEntry` carrying *capability metadata* — whether it
+is exact, the largest instance it is practical for, how many workstation
+types it tolerates, its complexity class — and is resolved from a single
+*spec string*::
 
     "greedy+reversal"                 # bare name
     "exact(max_destinations=12)"      # name with solver options
@@ -140,21 +139,9 @@ class SolverEntry:
 
 _SOLVERS: Dict[str, SolverEntry] = {}
 _BOUNDS: Dict[str, Tuple[Callable[[MulticastSet], float], str]] = {}
-
-# complexity classes of the wrapped low-level schedulers, by registry name
-_SCHEDULER_COMPLEXITY: Dict[str, str] = {
-    "greedy": "O(n log n)",
-    "greedy+reversal": "O(n log n)",
-    "greedy+ls": "O(n^2) local search",
-    "fnf": "O(n log n)",
-    "binomial": "O(n log n)",
-    "binomial-ff": "O(n log n)",
-    "postal": "O(n log n)",
-    "star": "O(n log n)",
-    "star-naive": "O(n)",
-    "chain": "O(n)",
-    "random": "O(n)",
-}
+#: Names the built-in table registered; unregistering one restores it on
+#: the next lookup.
+_BUILTIN_NAMES: "set[str]" = set()
 
 
 def register_solver(
@@ -171,6 +158,7 @@ def register_solver(
     """
 
     def deco(fn: SolverFn) -> SolverFn:
+        _ensure_loaded()  # built-in names are taken even before first lookup
         if name in _SOLVERS:
             raise SolverError(f"solver {name!r} registered twice")
         _SOLVERS[name] = SolverEntry(
@@ -190,16 +178,17 @@ def unregister_solver(name: str) -> bool:
     Returns whether the name was registered.  Intended for tests and
     plugins that install throwaway solvers (the conformance suite injects
     deliberately broken solvers to prove the invariants catch them).
-    Built-ins are resilient: schedulers mirrored from the low-level
-    registry and the ``dp``/``exact`` oracles all reappear on the next
-    lookup, so only ad-hoc registrations are really removable.
+    Built-ins are resilient: every entry of the built-in table — the
+    schedulers, the ``dp``/``exact`` oracles, the ``mg-*`` strategies —
+    reappears on the next lookup, so only ad-hoc registrations are really
+    removable.
     """
     global _LOADED
     removed = _SOLVERS.pop(name, None) is not None
-    if removed and (name in ("dp", "exact") or name.startswith("mg-")):
-        # these built-ins register once behind the _LOADED flag; drop it
-        # so the next lookup restores them (losing the oracle for the rest
-        # of the process would make oracle invariants pass vacuously)
+    if removed and name in _BUILTIN_NAMES:
+        # built-ins register once behind the _LOADED flag; drop it so the
+        # next lookup restores them (losing the oracle for the rest of the
+        # process would make oracle invariants pass vacuously)
         with _LOAD_LOCK:
             _LOADED = False
     return removed
@@ -318,7 +307,9 @@ _LOADED = False
 _LOAD_LOCK = threading.Lock()
 
 
-def _wrap_scheduler(fn: Callable[[MulticastSet], Schedule]) -> SolverFn:
+def _scheduler_solver(fn: Callable[[MulticastSet], Schedule]) -> SolverFn:
+    """Adapt a plain ``(MulticastSet) -> Schedule`` scheduler to a solver."""
+
     def run(mset: MulticastSet, **options: Any) -> SolverOutput:
         if options:
             raise SolverError(
@@ -329,33 +320,61 @@ def _wrap_scheduler(fn: Callable[[MulticastSet], Schedule]) -> SolverFn:
     return run
 
 
-def _sync_schedulers() -> None:
-    """Mirror the low-level scheduler registry into the unified catalogue.
-
-    Idempotent: schedulers registered after the first sync (e.g. by user
-    code) are picked up on the next lookup.
-    """
-    from repro.algorithms.registry import scheduler_items
-
-    for name, fn, description in scheduler_items():
-        if name in _SOLVERS:
-            continue
-        caps = SolverCapabilities(
-            exact=False,
-            complexity=_SCHEDULER_COMPLEXITY.get(name, "polynomial"),
-        )
-        _SOLVERS[name] = SolverEntry(
-            name=name,
-            fn=_wrap_scheduler(fn),
-            description=description,
-            capabilities=caps,
-        )
-
-
-def _register_builtins() -> None:
-    from repro.core.bounds import first_hop_lower_bound, homogeneous_relaxation_lower_bound
+def _builtin_entries() -> List[SolverEntry]:
+    """The built-in table: every solver the package ships, registered once."""
+    from repro.algorithms import (
+        binomial,
+        binomial_fastest_first,
+        fastest_node_first,
+        greedy,
+        greedy_reversed,
+        linear_chain,
+        local_search_schedule,
+        postal_tree,
+        random_tree,
+        sequential_star,
+        sequential_star_naive,
+    )
     from repro.core.brute_force import solve_exact
+    from repro.core.contention import MULTI_GROUP_STRATEGIES
     from repro.core.dp_vector import solve_dp_backend
+
+    # fmt: off
+    schedulers = (
+        ("greedy", greedy,
+         "the paper's O(n log n) greedy (Section 2)", "O(n log n)"),
+        ("greedy+reversal", greedy_reversed,
+         "greedy followed by the Section 3 leaf reversal", "O(n log n)"),
+        ("greedy+ls", local_search_schedule,
+         "greedy + reversal + first-improvement local search", "O(n^2) local search"),
+        ("fnf", fastest_node_first,
+         "fastest-node-first greedy of the node model [2], "
+         "evaluated under the receive-send model", "O(n log n)"),
+        ("binomial", binomial,
+         "classic binomial tree over the canonical node order", "O(n log n)"),
+        ("binomial-ff", binomial_fastest_first,
+         "binomial tree, explicitly fastest-sender-first placement", "O(n log n)"),
+        ("postal", postal_tree,
+         "Bar-Noy/Kipnis postal-optimal shape fitted to the instance", "O(n log n)"),
+        ("star", sequential_star,
+         "source sends everything; slow receivers served first", "O(n log n)"),
+        ("star-naive", sequential_star_naive,
+         "source sends everything in canonical overhead order", "O(n)"),
+        ("chain", linear_chain,
+         "linear forwarding pipeline, fastest senders first", "O(n)"),
+        ("random", random_tree,
+         "seeded uniformly random recruitment tree", "O(n)"),
+    )
+    # fmt: on
+    entries = [
+        SolverEntry(
+            name=name,
+            fn=_scheduler_solver(fn),
+            description=description,
+            capabilities=SolverCapabilities(complexity=complexity),
+        )
+        for name, fn, description, complexity in schedulers
+    ]
 
     def run_dp(mset: MulticastSet, **options: Any) -> SolverOutput:
         backend = options.pop("backend", "auto")
@@ -372,63 +391,77 @@ def _register_builtins() -> None:
             stats={"nodes_expanded": solution.nodes_expanded},
         )
 
-    _SOLVERS["dp"] = SolverEntry(
-        name="dp",
-        fn=run_dp,
-        description="Section 4 dynamic program: optimal for limited heterogeneity",
-        capabilities=SolverCapabilities(
-            exact=True,
-            complexity="O(n^{2k})",
-            requires_k_types=4,
-            options=("max_states", "backend"),
-            reusable_table=True,
-        ),
-    )
-    _SOLVERS["exact"] = SolverEntry(
-        name="exact",
-        fn=run_exact,
-        description="branch-and-bound exhaustive search (validation oracle)",
-        capabilities=SolverCapabilities(
-            exact=True,
-            complexity="exponential",
-            max_n=10,
-            options=("max_destinations", "node_budget"),
-        ),
-    )
-    from repro.core.contention import MULTI_GROUP_STRATEGIES, MultiGroupInstance
-
-    def _wrap_multi_group(name: str, strategy: Any) -> SolverFn:
-        def run(instance: Any, **options: Any) -> Any:
-            schedules = options.pop("schedules", None)
-            if options:
-                raise SolverError(
-                    f"multi-group solver {name!r} takes no options, got {sorted(options)}"
-                )
-            if not isinstance(instance, MultiGroupInstance) or schedules is None:
-                raise SolverError(
-                    f"solver {name!r} composes multi-group schedules: call it "
-                    "through repro.api.MultiGroupPlanner with a MultiGroupInstance, "
-                    "not through single-group planning paths"
-                )
-            return strategy(instance, schedules)
-
-        return run
-
-    for strategy_name, (strategy_fn, strategy_desc) in MULTI_GROUP_STRATEGIES.items():
-        mg_name = f"mg-{strategy_name}"
-        if mg_name in _SOLVERS:  # a partial unregister left the others in place
-            continue
-        _SOLVERS[mg_name] = SolverEntry(
-            name=mg_name,
-            fn=_wrap_multi_group(mg_name, strategy_fn),
-            description=f"multi-group composition: {strategy_desc}",
+    entries.append(
+        SolverEntry(
+            name="dp",
+            fn=run_dp,
+            description="Section 4 dynamic program: optimal for limited heterogeneity",
             capabilities=SolverCapabilities(
-                exact=False,
-                complexity="O(groups^2 * claims)",
-                multi_group=True,
+                exact=True,
+                complexity="O(n^{2k})",
+                requires_k_types=4,
+                options=("max_states", "backend"),
+                reusable_table=True,
             ),
         )
+    )
+    entries.append(
+        SolverEntry(
+            name="exact",
+            fn=run_exact,
+            description="branch-and-bound exhaustive search (validation oracle)",
+            capabilities=SolverCapabilities(
+                exact=True,
+                complexity="exponential",
+                max_n=10,
+                options=("max_destinations", "node_budget"),
+            ),
+        )
+    )
+    for strategy_name, (strategy_fn, strategy_desc) in MULTI_GROUP_STRATEGIES.items():
+        mg_name = f"mg-{strategy_name}"
+        entries.append(
+            SolverEntry(
+                name=mg_name,
+                fn=_multi_group_solver(mg_name, strategy_fn),
+                description=f"multi-group composition: {strategy_desc}",
+                capabilities=SolverCapabilities(
+                    exact=False,
+                    complexity="O(groups^2 * claims)",
+                    multi_group=True,
+                ),
+            )
+        )
+    return entries
 
+
+def _multi_group_solver(name: str, strategy: Any) -> SolverFn:
+    """Adapt a cross-group composition strategy; refuses single groups."""
+    from repro.core.contention import MultiGroupInstance
+
+    def run(instance: Any, **options: Any) -> Any:
+        schedules = options.pop("schedules", None)
+        if options:
+            raise SolverError(
+                f"multi-group solver {name!r} takes no options, got {sorted(options)}"
+            )
+        if not isinstance(instance, MultiGroupInstance) or schedules is None:
+            raise SolverError(
+                f"solver {name!r} composes multi-group schedules: call it "
+                "through repro.api.MultiGroupPlanner with a MultiGroupInstance, "
+                "not through single-group planning paths"
+            )
+        return strategy(instance, schedules)
+
+    return run
+
+
+def _register_builtins() -> None:
+    from repro.core.bounds import first_hop_lower_bound, homogeneous_relaxation_lower_bound
+
+    for entry in _builtin_entries():
+        _BUILTIN_NAMES.add(entry.name)
+        _SOLVERS.setdefault(entry.name, entry)
     _BOUNDS["first-hop"] = (
         first_hop_lower_bound,
         "o_send(p0) + L + max destination receive overhead",
@@ -441,10 +474,11 @@ def _register_builtins() -> None:
 
 def _ensure_loaded() -> None:
     global _LOADED
+    if _LOADED:
+        return
     # serialized so a parallel first access (plan_batch workers) never sees
     # a half-built registry; _LOADED flips only after registration finishes
     with _LOAD_LOCK:
         if not _LOADED:
             _register_builtins()
             _LOADED = True
-        _sync_schedulers()

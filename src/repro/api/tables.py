@@ -33,7 +33,7 @@ by ``(type overheads, latency)``.
   conformance service-parity invariant compares it byte-for-byte).
 
 Benchmarks and experiments that need every plan to be a real solve
-construct their planner with ``reuse_tables=False``.
+construct their planner with ``TableCacheConfig(enabled=False)``.
 
 Snapshot persistence (``repro/table-snapshot-v1``) gives the cache the
 same warm-start story the :class:`~repro.service.store.PlanStore` gives
@@ -105,10 +105,8 @@ class TableCacheConfig:
 
     One value object instead of a growing pile of planner kwargs:
 
-    - ``enabled``: keep an :class:`OptimalTableCache` at all (the old
-      ``reuse_tables`` switch);
-    - ``max_total_states``: the cache-wide resident-state budget (the old
-      ``table_cache_states`` kwarg, now a deprecated alias);
+    - ``enabled``: keep an :class:`OptimalTableCache` at all;
+    - ``max_total_states``: the cache-wide resident-state budget;
     - ``max_states``: default per-table state guard rail;
     - ``backend``: DP engine for table builds — ``auto``/``scalar``/
       ``vector``, resolved per box (bit-identical either way);

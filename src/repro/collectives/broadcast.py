@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algorithms.registry import get_scheduler
+from repro.api.solvers import get_solver
 from repro.core.node import Node
 from repro.core.schedule import Schedule
 from repro.workloads.generator import multicast_from_cluster
@@ -28,7 +28,7 @@ def broadcast_schedule(
     src = names.index(source_name)
     ordered = [nodes[src]] + [nd for i, nd in enumerate(nodes) if i != src]
     mset = multicast_from_cluster(ordered, latency=latency, source="first")
-    return get_scheduler(algorithm)(mset)
+    return get_solver(algorithm)(mset).schedule
 
 
 def broadcast_completion(

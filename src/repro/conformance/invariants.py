@@ -50,6 +50,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.api.planner import Planner, instance_fingerprint
 from repro.api.request import PlanRequest, PlanResult
+from repro.api.tables import TableCacheConfig
 from repro.conformance.corpus import ScenarioSpec
 from repro.core.bounds import theorem1_factor
 from repro.core.leaf_reversal import reverse_leaves
@@ -504,7 +505,7 @@ def _repair_identity(outcome: ScenarioOutcome) -> List[Violation]:
             continue
         chain = churn_chain(outcome.mset, seed=outcome.spec.seed, length=3)
         manager = SessionManager(Planner(cache_size=0))
-        cold = Planner(cache_size=0, reuse_tables=False)
+        cold = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         opened = manager.open(PlanRequest(instance=outcome.mset, solver=name))
         try:
             mset = outcome.mset

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.dp import TypeSystem, _DPCore, box_states
-from repro.core.dp_vector import _VectorCore, _numpy, core_cls_for
+from repro.core.dp_vector import _VectorCore, core_cls_for
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SolverError
@@ -216,20 +216,14 @@ class OptimalTable:
         k = table.spec.types.k
         if entries != box_states(k, max_counts):
             raise ReproError(f"snapshot {path.name} entry count is inconsistent")
-        np = _numpy()
-        taus, ells, ysps = [], [], []
-        for s in range(k):
-            raw = (snap.view(f"tau-{s}"), snap.view(f"ell-{s}"), snap.view(f"ysplit-{s}"))
-            if np is not None:
-                taus.append(np.frombuffer(raw[0], dtype="<f8"))
-                ells.append(np.frombuffer(raw[1], dtype=np.int8))
-                ysps.append(np.frombuffer(raw[2], dtype="<i8"))
-            else:
-                taus.append(raw[0].cast("d"))
-                ells.append(raw[1].cast("b"))
-                ysps.append(raw[2].cast("q"))
         table._core = _VectorCore.from_flat(
-            table.spec.types, latency, max_counts, taus, ells, ysps, owner=snap
+            table.spec.types,
+            latency,
+            max_counts,
+            [snap.view(f"tau-{s}") for s in range(k)],
+            [snap.view(f"ell-{s}") for s in range(k)],
+            [snap.view(f"ysplit-{s}") for s in range(k)],
+            owner=snap,
         )
         table._built = True
         table._snapshot_origin = (path, entries)

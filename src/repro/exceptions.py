@@ -76,9 +76,10 @@ class ConformanceError(ReproError):
 class ServiceError(ReproError):
     """The planning service refused or failed a request.
 
-    Raised for admission-control rejections (the fair queue is full), wire
-    protocol violations, attempts to use a service that is not running, and
-    errors the server reports back over the JSON-lines protocol.
+    Raised for wire protocol violations, attempts to use a service that is
+    not running, and errors the server reports back over the JSON-lines
+    protocol.  Transient refusals — admission-control rejections among
+    them — raise the :class:`ServiceRetryableError` subclass.
     """
 
 

@@ -35,6 +35,8 @@ the session (exact duplicates are idempotent server-side) instead.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import itertools
 import random
 import socket
@@ -159,18 +161,6 @@ def _as_request(job: Plannable, solver: Optional[str], options: Dict[str, Any]) 
     )
 
 
-def _retryable_wire_error(text: str) -> bool:
-    """Whether a server-reported error is safe to retry.
-
-    The server marks transient refusals — admission-control rejections
-    and worker-death failures — with ``retry``/``retryable`` in the
-    message; solver and protocol errors are deterministic and retrying
-    them would just repeat the failure.
-    """
-    lowered = text.lower()
-    return "retry later" in lowered or "retryable" in lowered
-
-
 class ServiceClient:
     """Blocking JSON-lines client of a TCP planning service.
 
@@ -280,7 +270,7 @@ class ServiceClient:
                 if reply_id == message_id:
                     if response.get("type") == "error":
                         text = response.get("error", "unknown service error")
-                        if _retryable_wire_error(text):
+                        if response.get("retryable") is True:
                             raise ServiceRetryableError(text)
                         raise ServiceError(text)
                     return response
@@ -466,14 +456,31 @@ class InProcessClient:
         self.client_id = client_id
         self.timeout = timeout
 
+    def _run(self, make_coro: Callable[[], Any]) -> Any:
+        """Run one service coroutine on the service's loop and wait for it.
+
+        A timeout raises :class:`ServiceError`, the same surface as
+        :class:`ServiceClient`.
+        """
+        loop = self.service._loop
+        if loop is None:
+            raise ServiceError("service is not running; call start_background() first")
+        future = asyncio.run_coroutine_threadsafe(make_coro(), loop)
+        try:
+            return future.result(timeout=self.timeout)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise ServiceError(
+                f"request timed out after {self.timeout}s (still running "
+                f"server-side unless cancellation won the race)"
+            ) from None
+
     def plan(
         self, job: Plannable, solver: Optional[str] = None, **options: Any
     ) -> ServedPlan:
         """Plan one multicast through the embedded service."""
         request = _as_request(job, solver, options)
-        result, tier = self.service.submit_sync(
-            request, client_id=self.client_id, timeout=self.timeout
-        )
+        result, tier = self._run(lambda: self.service.submit(request, self.client_id))
         return ServedPlan(result, tier, degraded=tier == "degraded")
 
     def plan_batch(self, jobs: List[Plannable]) -> List[ServedPlan]:
@@ -490,30 +497,21 @@ class InProcessClient:
     ) -> SessionUpdate:
         """Open a group session; returns the opening update (seq 0)."""
         request = _as_request(job, solver, options)
-        return self.service.open_session_sync(
-            request,
-            client_id=self.client_id,
-            session_id=session_id,
-            timeout=self.timeout,
-        )
+        return self._run(lambda: self.service.open_session(request, self.client_id, session_id))
 
     def send_delta(self, session_id: str, delta: MembershipDelta) -> SessionUpdate:
         """Stream one membership delta; returns the repaired update."""
-        return self.service.apply_session_delta_sync(
-            session_id, delta, client_id=self.client_id, timeout=self.timeout
+        return self._run(
+            lambda: self.service.apply_session_delta(session_id, delta, self.client_id)
         )
 
     def resume_session(self, session_id: str) -> SessionUpdate:
         """The session's last acknowledged update (no state change)."""
-        return self.service.resume_session_sync(
-            session_id, client_id=self.client_id, timeout=self.timeout
-        )
+        return self._run(lambda: self.service.resume_session(session_id, self.client_id))
 
     def close_session(self, session_id: str) -> None:
         """Close an open session."""
-        self.service.close_session_sync(
-            session_id, client_id=self.client_id, timeout=self.timeout
-        )
+        self._run(lambda: self.service.close_session(session_id, self.client_id))
 
     def ping(self) -> bool:
         """``True`` while the embedded service is running."""

@@ -32,7 +32,11 @@ Server -> client message types:
                       {repro/plan-result-v1}}`` — plus ``"degraded":
                       true`` when a solve deadline forced a greedy
                       fallback answer (key absent otherwise)
-``error``             ``{"type": "error", "id": ..., "error": "..."}``
+``error``             ``{"type": "error", "id": ..., "error": "..."}`` —
+                      plus ``"retryable": true`` when the failure is
+                      transient (admission queue full, shard worker died
+                      twice, injected solver/store faults); key absent
+                      for permanent errors
 ``pong``              answer to ``ping``
 ``metrics``           ``{"type": "metrics", "metrics": {...}}``
 ``session-result``    ``{"type": "session-result", "id": ..., "session":
@@ -241,9 +245,17 @@ def result_message(
     return message
 
 
-def error_message(error: str, *, id: Any = None) -> Dict[str, Any]:
-    """Envelope a failure as an ``error`` message."""
-    return {"type": "error", "id": id, "error": error}
+def error_message(error: str, *, id: Any = None, retryable: bool = False) -> Dict[str, Any]:
+    """Envelope a failure as an ``error`` message.
+
+    ``retryable`` marks a transient failure (the server raised
+    :class:`~repro.exceptions.ServiceRetryableError`); clients decide
+    whether to retry from this field alone, never from the text.
+    """
+    message: Dict[str, Any] = {"type": "error", "id": id, "error": error}
+    if retryable:
+        message["retryable"] = True
+    return message
 
 
 def session_result_message(update: SessionUpdate, *, id: Any = None) -> Dict[str, Any]:

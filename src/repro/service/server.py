@@ -60,7 +60,12 @@ from repro.api.planner import CacheKey, Planner, _plan_standalone
 from repro.api.tables import TableCacheConfig
 from repro.api.request import PlanRequest, PlanResult
 from repro.core.repair import MembershipDelta
-from repro.exceptions import DeadlineExceededError, ReproError, ServiceError
+from repro.exceptions import (
+    DeadlineExceededError,
+    ReproError,
+    ServiceError,
+    ServiceRetryableError,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
     decode,
@@ -130,8 +135,9 @@ class FairQueue:
     in round-robin rotation, so a client submitting thousands of requests
     delays a one-request client by at most one in-flight item.  When the
     total backlog reaches ``max_pending``, :meth:`put` raises
-    :class:`ServiceError` (admission control) instead of buffering without
-    bound.  Single-event-loop use only (no internal thread-safety).
+    :class:`ServiceRetryableError` (admission control) instead of
+    buffering without bound.  Single-event-loop use only (no internal
+    thread-safety).
     """
 
     def __init__(self, max_pending: int = 1024) -> None:
@@ -155,7 +161,7 @@ class FairQueue:
     async def put(self, client_id: str, item: Any) -> None:
         """Enqueue ``item`` for ``client_id`` or reject when full."""
         if self._pending >= self.max_pending:
-            raise ServiceError(
+            raise ServiceRetryableError(
                 f"admission queue full ({self._pending} pending); retry later"
             )
         queue = self._queues.get(client_id)
@@ -307,8 +313,8 @@ class PlanningService:
 
         ``tier`` names what served it: ``"memory"`` (planner LRU),
         ``"store"`` (persistent tier) or ``"solve"`` (a worker shard ran
-        the solver).  Raises :class:`ServiceError` on admission rejection
-        and re-raises solver errors.
+        the solver).  Raises :class:`ServiceRetryableError` on admission
+        rejection and re-raises solver errors.
         """
         queues = self._shard_queues
         if not queues:
@@ -340,7 +346,7 @@ class PlanningService:
         # never queue and are never rejected.
         if self._admitted >= self.max_pending:
             self.metrics.inc("rejected")
-            raise ServiceError(
+            raise ServiceRetryableError(
                 f"admission queue full ({self._admitted} pending); retry later"
             )
         self._admitted += 1
@@ -463,7 +469,7 @@ class PlanningService:
         self.metrics.inc("requests")
         if self._admitted >= self.max_pending:
             self.metrics.inc("rejected")
-            raise ServiceError(
+            raise ServiceRetryableError(
                 f"admission queue full ({self._admitted} pending); retry later"
             )
         self._admitted += 1
@@ -598,10 +604,9 @@ class PlanningService:
         """Run the service on a daemon thread; returns the TCP address.
 
         With ``tcp=False`` (the default) no socket is opened — requests
-        come in through :meth:`submit_sync` /
-        :class:`~repro.service.client.InProcessClient`.  With ``tcp=True``
-        a JSON-lines listener is bound (``port=0`` picks a free port) and
-        the bound ``(host, port)`` is returned.
+        come in through :class:`~repro.service.client.InProcessClient`.
+        With ``tcp=True`` a JSON-lines listener is bound (``port=0`` picks
+        a free port) and the bound ``(host, port)`` is returned.
         """
         if self._loop is not None:
             raise ServiceError("service is already running")
@@ -676,81 +681,6 @@ class PlanningService:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-    def _sync(
-        self, coro_factory: Callable[[], Any], timeout: Optional[float]
-    ) -> Any:
-        """Run one service coroutine from any thread (background mode only)."""
-        loop = self._loop
-        if loop is None:
-            raise ServiceError(
-                "service is not running; call start_background() first"
-            )
-        future = asyncio.run_coroutine_threadsafe(coro_factory(), loop)
-        try:
-            return future.result(timeout=timeout)
-        except concurrent.futures.TimeoutError:
-            # same surface as ServiceClient: timeouts are library errors
-            future.cancel()
-            raise ServiceError(
-                f"request timed out after {timeout}s (still running "
-                f"server-side unless cancellation won the race)"
-            ) from None
-
-    def submit_sync(
-        self,
-        request: PlanRequest,
-        client_id: str = "local",
-        timeout: Optional[float] = None,
-    ) -> Tuple[PlanResult, str]:
-        """Blocking :meth:`submit` from any thread (background mode only)."""
-        return self._sync(lambda: self.submit(request, client_id), timeout)
-
-    def open_session_sync(
-        self,
-        request: PlanRequest,
-        client_id: str = "local",
-        session_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> SessionUpdate:
-        """Blocking :meth:`open_session` from any thread."""
-        return self._sync(
-            lambda: self.open_session(request, client_id, session_id), timeout
-        )
-
-    def apply_session_delta_sync(
-        self,
-        session_id: str,
-        delta: MembershipDelta,
-        client_id: str = "local",
-        timeout: Optional[float] = None,
-    ) -> SessionUpdate:
-        """Blocking :meth:`apply_session_delta` from any thread."""
-        return self._sync(
-            lambda: self.apply_session_delta(session_id, delta, client_id), timeout
-        )
-
-    def resume_session_sync(
-        self,
-        session_id: str,
-        client_id: str = "local",
-        timeout: Optional[float] = None,
-    ) -> SessionUpdate:
-        """Blocking :meth:`resume_session` from any thread."""
-        return self._sync(
-            lambda: self.resume_session(session_id, client_id), timeout
-        )
-
-    def close_session_sync(
-        self,
-        session_id: str,
-        client_id: str = "local",
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Blocking :meth:`close_session` from any thread."""
-        return self._sync(
-            lambda: self.close_session(session_id, client_id), timeout
-        )
 
     def run(
         self,
@@ -902,7 +832,13 @@ class PlanningService:
             raise
         except ReproError as exc:
             with contextlib.suppress(Exception):  # peer may already be gone
-                await send(error_message(str(exc), id=message_id))
+                await send(
+                    error_message(
+                        str(exc),
+                        id=message_id,
+                        retryable=isinstance(exc, ServiceRetryableError),
+                    )
+                )
         except Exception as exc:  # noqa: BLE001 - report, don't drop the line
             with contextlib.suppress(Exception):
                 await send(error_message(f"internal error: {exc}", id=message_id))
@@ -942,7 +878,13 @@ class PlanningService:
             raise
         except ReproError as exc:
             with contextlib.suppress(Exception):  # peer may already be gone
-                await send(error_message(str(exc), id=message_id))
+                await send(
+                    error_message(
+                        str(exc),
+                        id=message_id,
+                        retryable=isinstance(exc, ServiceRetryableError),
+                    )
+                )
         except Exception as exc:  # noqa: BLE001 - report, don't drop the line
             with contextlib.suppress(Exception):
                 await send(error_message(f"internal error: {exc}", id=message_id))

@@ -73,9 +73,9 @@ class TestImproveSchedule:
 
 class TestRegisteredScheduler:
     def test_registered(self, fig1_mset):
-        from repro.algorithms.registry import get_scheduler
+        from repro.api.solvers import get_solver
 
-        s = get_scheduler("greedy+ls")(fig1_mset)
+        s = get_solver("greedy+ls")(fig1_mset).schedule
         assert s.reception_completion == 8
 
     def test_never_above_greedy_reversal(self):

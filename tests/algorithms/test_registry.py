@@ -1,42 +1,49 @@
-"""Unit tests for the scheduler registry."""
+"""The schedulers of repro.algorithms resolve through the one solver registry."""
 
 import pytest
 
-from repro.algorithms.registry import (
-    available_schedulers,
-    get_scheduler,
-    register,
-    scheduler_items,
+from repro.api.solvers import available_solvers, get_solver, register_solver, solver_items
+from repro.exceptions import SolverError
+
+SCHEDULERS = (
+    "greedy",
+    "greedy+reversal",
+    "greedy+ls",
+    "fnf",
+    "binomial",
+    "binomial-ff",
+    "postal",
+    "star",
+    "star-naive",
+    "chain",
+    "random",
 )
-from repro.exceptions import ReproError
 
 
 class TestRegistry:
     def test_known_names_present(self):
-        names = available_schedulers()
-        for expected in ("greedy", "greedy+reversal", "fnf", "binomial", "postal",
-                         "star", "star-naive", "chain", "random", "binomial-ff"):
+        names = available_solvers()
+        for expected in SCHEDULERS:
             assert expected in names
 
     def test_get_scheduler_returns_callable(self, fig1_mset):
-        fn = get_scheduler("greedy")
-        assert fn(fig1_mset).reception_completion == 10
+        assert get_solver("greedy")(fig1_mset).schedule.reception_completion == 10
 
     def test_unknown_name_raises_with_suggestions(self):
-        with pytest.raises(ReproError, match="available"):
-            get_scheduler("quantum")
+        with pytest.raises(SolverError, match="available"):
+            get_solver("quantum")
 
     def test_double_registration_rejected(self):
-        with pytest.raises(ReproError, match="twice"):
-            register("greedy", "dupe")(lambda m: None)
+        with pytest.raises(SolverError, match="twice"):
+            register_solver("greedy", "dupe")(lambda m: None)
 
     def test_items_sorted_with_descriptions(self):
-        items = list(scheduler_items())
-        names = [name for name, _fn, _desc in items]
+        items = list(solver_items())
+        names = [entry.name for entry in items]
         assert names == sorted(names)
-        assert all(desc for _n, _f, desc in items)
+        assert all(entry.description for entry in items)
 
     def test_every_scheduler_produces_valid_schedule(self, fig1_mset):
-        for name, fn, _desc in scheduler_items():
-            s = fn(fig1_mset)
+        for name in SCHEDULERS:
+            s = get_solver(name)(fig1_mset).schedule
             assert sorted(s.descendants(0)) == [1, 2, 3, 4], name

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 from repro.exceptions import ReproError, SolverError
 from repro.io.serialization import plan_result_to_dict
@@ -40,7 +41,7 @@ class TestGroupParity:
     def test_bit_identical_to_per_instance(self):
         requests = _sweep()
         grouped = Planner(cache_size=0).plan_batch(requests, group_solve=True)
-        direct = Planner(cache_size=0, reuse_tables=False).plan_batch(
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
             requests, group_solve=False
         )
         assert [_canonical(r) for r in grouped] == [_canonical(r) for r in direct]
@@ -83,11 +84,11 @@ class TestGroupParity:
         assert [_canonical(r) for r in serial] == [_canonical(r) for r in parallel]
 
     def test_group_solve_without_table_reuse_is_batch_local(self):
-        # reuse_tables=False still amortizes within an explicit group batch
-        planner = Planner(cache_size=0, reuse_tables=False)
+        # a disabled table cache still amortizes within an explicit group batch
+        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         requests = _sweep(4)
         batch = planner.plan_batch(requests, group_solve=True)
-        direct = Planner(cache_size=0, reuse_tables=False).plan_batch(
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
             requests, group_solve=False
         )
         assert [_canonical(r) for r in batch] == [_canonical(r) for r in direct]
@@ -157,7 +158,7 @@ class TestPrewarm:
         assert cache.hits == len(instances)
 
     def test_prewarm_noop_without_table_reuse(self):
-        planner = Planner(cache_size=0, reuse_tables=False)
+        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         assert planner.prewarm_tables([_two_type(2, 2)]) == 0
 
 
@@ -170,7 +171,7 @@ class TestCanonicalCacheHits:
         assert second.cache_hit
         info = planner.cache_info()
         assert info.hits == 1 and info.canonical_hits == 1
-        direct = Planner(cache_size=0, reuse_tables=False).plan(
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan(
             _two_type(3, 2, scale=2), "dp"
         )
         assert _canonical(second) == _canonical(direct)
@@ -189,7 +190,7 @@ class TestCanonicalCacheHits:
         )
         hit = planner.plan(scaled)
         assert hit.cache_hit and hit.bounds is not None
-        direct = Planner(cache_size=0, reuse_tables=False).plan(
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan(
             PlanRequest(
                 instance=_two_type(4, 3, scale=4),
                 solver="greedy",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import OptimalTableCache, Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 from repro.exceptions import ReproError, SolverError
 from repro.io.serialization import plan_result_to_dict
@@ -29,16 +30,16 @@ def _two_type(fast, slow, latency=1):
 class TestParity:
     @pytest.mark.parametrize("shape", [(3, 1), (5, 2), (2, 6), (1, 1)])
     def test_byte_identical_to_direct_solve(self, shape):
-        direct = Planner(cache_size=0, reuse_tables=False)
-        reusing = Planner(cache_size=0, reuse_tables=True)
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
+        reusing = Planner(cache_size=0)
         mset = _two_type(*shape)
         assert _canonical(direct.plan(mset, "dp")) == _canonical(
             reusing.plan(mset, "dp")
         )
 
     def test_bounds_requests_also_identical(self):
-        direct = Planner(cache_size=0, reuse_tables=False)
-        reusing = Planner(cache_size=0, reuse_tables=True)
+        direct = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
+        reusing = Planner(cache_size=0)
         request_for = lambda: PlanRequest(
             instance=_two_type(4, 3), solver="dp", include_bounds=True
         )
@@ -49,8 +50,8 @@ class TestParity:
     def test_parity_independent_of_cache_history(self):
         # a planner that has served other shapes first must answer the
         # same bytes as a fresh one (service-parity depends on this)
-        fresh = Planner(cache_size=0, reuse_tables=True)
-        warmed = Planner(cache_size=0, reuse_tables=True)
+        fresh = Planner(cache_size=0)
+        warmed = Planner(cache_size=0)
         for fast, slow in [(6, 6), (2, 1), (5, 3)]:
             warmed.plan(_two_type(fast, slow), "dp")
         mset = _two_type(3, 2)
@@ -61,7 +62,7 @@ class TestParity:
 
 class TestReuse:
     def test_repeated_type_system_hits_the_table(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "dp")
         cache = planner.table_cache
         assert cache is not None and cache.builds == 1
@@ -69,7 +70,7 @@ class TestReuse:
         assert cache.builds == 1 and cache.hits == 1
 
     def test_growth_extends_incrementally(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(2, 2), "dp")
         planner.plan(_two_type(6, 6), "dp")  # outgrows the first table
         cache = planner.table_cache
@@ -80,7 +81,7 @@ class TestReuse:
     def test_equivalent_networks_share_a_table(self):
         # renamed nodes and power-of-two-rescaled overheads canonicalize
         # onto the same table (the planner passes canonical instances)
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "dp")
         scaled = MulticastSet.from_overheads(
             source=(4, 6),
@@ -92,35 +93,37 @@ class TestReuse:
         assert cache.builds == 1 and cache.hits == 1
 
     def test_latency_is_part_of_the_key(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(3, 3, latency=1), "dp")
         planner.plan(_two_type(3, 3, latency=2), "dp")
         assert planner.table_cache.builds == 2
 
     def test_reuse_disabled_has_no_cache(self):
-        planner = Planner(cache_size=0, reuse_tables=False)
+        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         planner.plan(_two_type(3, 3), "dp")
         assert planner.table_cache is None
 
     def test_non_reusable_solvers_bypass_the_cache(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "greedy")
         assert len(planner.table_cache) == 0
 
     def test_parallel_batch_shares_the_table(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         requests = [
             PlanRequest(instance=_two_type(fast, 8 - fast), solver="dp")
             for fast in range(1, 8)
         ] * 2
         batch = planner.plan_batch(requests, jobs=4)
-        serial = Planner(cache_size=0, reuse_tables=False).plan_batch(requests)
+        serial = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
+            requests
+        )
         assert [_canonical(r) for r in batch] == [_canonical(r) for r in serial]
 
 
 class TestGuards:
     def test_max_states_still_raises_identically(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         with pytest.raises(SolverError, match="state space too large"):
             planner.plan(_two_type(9, 9), "dp", max_states=10)
 
@@ -165,11 +168,6 @@ class TestGuards:
         cache.clear()
         assert (len(cache), cache.hits, cache.builds) == (0, 0, 0)
         assert (cache.extensions, cache.evictions) == (0, 0)
-
-    def test_table_cache_states_validated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ReproError, match="table_cache_states"):
-                Planner(table_cache_states=0)
 
 
 class TestPins:

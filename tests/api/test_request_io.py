@@ -1,7 +1,6 @@
-"""PlanRequest/PlanResult JSON round-trips and deprecation shims."""
+"""PlanRequest/PlanResult JSON round-trips."""
 
 import json
-import warnings
 
 import pytest
 
@@ -87,41 +86,8 @@ class TestPlanResultRoundTrip:
         assert loaded.value == result.value
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize("name", [
-        "get_scheduler",
-        "available_schedulers",
-        "scheduler_items",
-        "solve_dp",
-        "solve_exact",
-    ])
-    def test_legacy_names_importable_with_warning(self, name, fig1_mset):
-        import repro.api
+def test_unknown_api_attribute_raises():
+    import repro.api
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = getattr(repro.api, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"repro.api.{name} did not warn"
-        # the shim is the real callable
-        if name == "solve_dp":
-            assert shim(fig1_mset).value == 8
-        elif name == "get_scheduler":
-            assert shim("greedy")(fig1_mset).reception_completion == 10
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.api
-
-        with pytest.raises(AttributeError):
-            repro.api.not_a_real_name
-
-    def test_old_import_paths_still_work(self, fig1_mset):
-        # pre-façade call sites must keep working unchanged
-        from repro.algorithms.registry import available_schedulers, get_scheduler
-        from repro.core.brute_force import solve_exact
-        from repro.core.dp import solve_dp
-
-        assert "greedy+reversal" in available_schedulers()
-        assert get_scheduler("greedy+reversal")(fig1_mset).reception_completion == 8
-        assert solve_dp(fig1_mset).value == solve_exact(fig1_mset).value == 8
+    with pytest.raises(AttributeError):
+        repro.api.not_a_real_name

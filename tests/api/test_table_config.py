@@ -7,7 +7,6 @@ the same config: write-through saves on build, fail-closed mmap attach
 on miss, warm restarts with zero rebuilds.
 """
 
-import warnings
 
 import pytest
 
@@ -78,30 +77,6 @@ class TestPlannerIntegration:
         planner.plan(_two_type(3, 2), "dp")
         assert planner.table_cache.stats()["builds"] == 1
 
-    def test_deprecated_kwarg_warns_and_maps(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            planner = Planner(table_cache_states=4321)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "table_cache_states" in str(w.message)
-            for w in caught
-        )
-        assert planner.table_config.max_total_states == 4321
-
-    def test_config_and_deprecated_kwarg_conflict(self):
-        with pytest.raises(ReproError, match="not both"):
-            Planner(table_config=TableCacheConfig(), table_cache_states=10)
-
-    def test_config_and_reuse_tables_false_conflict(self):
-        with pytest.raises(ReproError, match="enabled=False"):
-            Planner(table_config=TableCacheConfig(), reuse_tables=False)
-
-    def test_reuse_tables_false_still_works_alone(self):
-        planner = Planner(reuse_tables=False)
-        assert planner.table_cache is None
-        assert not planner.table_config.enabled
-
 
 class TestSnapshotPersistence:
     def test_write_through_on_build(self, tmp_path):
@@ -138,6 +113,29 @@ class TestSnapshotPersistence:
         warm.plan(_two_type(6, 5), "dp")
         assert warm.table_cache.stats()["builds"] == 0
 
+    def test_attached_snapshot_grows_without_numpy(self, tmp_path, monkeypatch):
+        """A warm attach grown past its box answers exactly as a scalar
+        planner with no table cache: value, schedule, ``states_computed``."""
+        import repro.core.dp_vector as dp_vector
+
+        monkeypatch.setattr(dp_vector, "_numpy", lambda: None)
+        config = TableCacheConfig(snapshot_dir=tmp_path)
+        Planner(cache_size=0, table_config=config).plan(_two_type(3, 2), "dp")
+        warm = Planner(cache_size=0, table_config=config)
+        cold = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
+        for mset in (_two_type(3, 2), _two_type(6, 5), _two_type(2, 7)):
+            ours = warm.plan(mset, "dp")
+            theirs = cold.plan(mset, "dp(backend=scalar)")
+            assert ours.value == theirs.value
+            assert ours.schedule == theirs.schedule
+            assert (
+                ours.provenance["states_computed"]
+                == theirs.provenance["states_computed"]
+            )
+        stats = warm.table_cache.stats()
+        assert (stats["attaches"], stats["builds"]) == (1, 0)
+        assert stats["extensions"] == 2
+
     def test_corrupt_snapshot_is_rejected_and_removed(self, tmp_path):
         config = TableCacheConfig(snapshot_dir=tmp_path)
         Planner(cache_size=0, table_config=config).plan(_two_type(4, 3), "dp")
@@ -155,7 +153,7 @@ class TestSnapshotPersistence:
         from repro.core.dp_table import OptimalTable
 
         OptimalTable.load_snapshot(snap)
-        fresh = Planner(cache_size=0, reuse_tables=False).plan(
+        fresh = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan(
             _two_type(4, 3), "dp"
         )
         assert result.value == fresh.value

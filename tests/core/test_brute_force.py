@@ -21,12 +21,12 @@ class TestExactValues:
         assert solve_exact(m).value == 3 + 2 + 2
 
     def test_never_above_any_heuristic(self, small_random_msets):
-        from repro.algorithms.registry import available_schedulers, get_scheduler
+        from repro.api.solvers import capable_solvers, get_solver
 
         for m in small_random_msets:
             opt = solve_exact(m).value
-            for name in available_schedulers():
-                assert opt <= get_scheduler(name)(m).reception_completion + 1e-9
+            for name in capable_solvers(m):
+                assert opt <= get_solver(name)(m).schedule.reception_completion + 1e-9
 
     def test_never_above_enumerated_insertion_trees(self):
         # cross-check against a full (unpruned) enumeration of canonical

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.algorithms.registry import get_scheduler
+from repro.api.solvers import get_solver
 from repro.analysis.metrics import critical_path
 from repro.collectives.broadcast import broadcast_schedule
 from repro.core.dp import solve_dp
@@ -22,7 +22,7 @@ class TestPipelineSynthetic:
     def test_generate_schedule_simulate_save_load(self, tmp_path):
         nodes = bounded_ratio_cluster(14, seed=11)
         mset = multicast_from_cluster(nodes, latency=3, source="slowest")
-        schedule = get_scheduler("greedy+reversal")(mset)
+        schedule = get_solver("greedy+reversal")(mset).schedule
         result = simulate_schedule(schedule)
         assert result.reception_completion == schedule.reception_completion
         path = save_json(schedule, tmp_path / "schedule.json")
@@ -34,7 +34,7 @@ class TestPipelineSynthetic:
     def test_visualizations_render(self):
         nodes = bounded_ratio_cluster(8, seed=4)
         mset = multicast_from_cluster(nodes, latency=2)
-        schedule = get_scheduler("greedy")(mset)
+        schedule = get_solver("greedy")(mset).schedule
         tree = render_tree(schedule)
         chart = gantt_for_schedule(schedule)
         assert all(nd.name in tree for nd in mset.nodes)
@@ -43,7 +43,7 @@ class TestPipelineSynthetic:
     def test_critical_path_explains_completion(self):
         nodes = bounded_ratio_cluster(10, seed=2)
         mset = multicast_from_cluster(nodes, latency=2)
-        schedule = get_scheduler("greedy+reversal")(mset)
+        schedule = get_solver("greedy+reversal")(mset).schedule
         path = critical_path(schedule)
         # recompute the completion along the critical path by hand
         t = 0.0
@@ -65,7 +65,7 @@ class TestPipelineProfiledMachines:
         net = lan_network({"ultra": 4, "pentium_ii": 3, "sparc5": 2, "sparc1": 2})
         mset = instantiate(net, "sparc10", message_length=4096)
         assert mset.correlated
-        schedule = get_scheduler("greedy+reversal")(mset)
+        schedule = get_solver("greedy+reversal")(mset).schedule
         result = simulate_schedule(schedule)
         assert result.reception_completion == schedule.reception_completion
         # limited heterogeneity: 4 machine generations => k <= 4, DP feasible
@@ -83,15 +83,15 @@ class TestPipelineProfiledMachines:
         # overhead-dominated network: recruiting helpers must pay off
         lan = NetworkSpec(machines=machines, latency=LinearCost(1, 0.0001))
         mset = instantiate(lan, "m0", message_length=1024)
-        greedy = get_scheduler("greedy+reversal")(mset).reception_completion
-        star = get_scheduler("star")(mset).reception_completion
+        greedy = get_solver("greedy+reversal")(mset).schedule.reception_completion
+        star = get_solver("star")(mset).schedule.reception_completion
         assert greedy < star
         # latency-dominated network (long-haul): the star is unbeatable and
         # greedy should find it
         wan = NetworkSpec(machines=machines, latency=LinearCost(5000, 0.1))
         mset = instantiate(wan, "m0", message_length=1024)
-        greedy = get_scheduler("greedy+reversal")(mset).reception_completion
-        star = get_scheduler("star")(mset).reception_completion
+        greedy = get_solver("greedy+reversal")(mset).schedule.reception_completion
+        star = get_solver("star")(mset).schedule.reception_completion
         assert greedy == star
 
     def test_cluster_broadcast_helper(self):

@@ -5,7 +5,9 @@ table planes alias the mmap) and must reject anything short of a fully
 intact file: truncation, bit flips, header tampering and torn writes all
 raise instead of warm-starting a service from corrupt tables.  Both DP
 engines must snapshot to identical bytes — the snapshot is part of the
-bit-identity contract, not an engine detail.
+bit-identity contract, not an engine detail — and without numpy a
+snapshot still attaches (``memoryview`` planes) and grows through the
+scalar engine.
 """
 
 import os
@@ -17,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.dp_vector as dp_vector
+from repro.core.dp import _DPCore
 from repro.core.dp_table import TABLE_SNAPSHOT_FORMAT, OptimalTable
-from repro.core.dp_vector import NO_NUMPY_ENV, numpy_available
+from repro.core.dp_vector import _VectorCore, numpy_available
 from repro.exceptions import ReproError
 from repro.io.segments import read_snapshot, write_snapshot
 
@@ -169,30 +173,58 @@ class TestTableSnapshot:
         _built(backend="vector").save_snapshot(b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs both engines")
-    def test_numpy_and_array_engines_snapshot_identically(self, tmp_path):
-        a, b = tmp_path / "np.snap", tmp_path / "arr.snap"
-        _built(backend="vector").save_snapshot(a)
-        env_was = os.environ.get(NO_NUMPY_ENV)
-        os.environ[NO_NUMPY_ENV] = "1"
-        try:
-            _built(backend="vector").save_snapshot(b)
-        finally:
-            if env_was is None:
-                del os.environ[NO_NUMPY_ENV]
-            else:  # pragma: no cover - env hygiene
-                os.environ[NO_NUMPY_ENV] = env_was
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy engine")
+    def test_scalar_and_numpy_engines_snapshot_identically(self, tmp_path):
+        """Scalar list storage and numpy planes write the same bytes, also
+        after an incremental grow of the numpy table."""
+        bigger = (COUNTS[0] + 2, COUNTS[1] + 1)
+        pairs = [
+            (_built(backend="scalar"), _built(backend="vector")),
+            (
+                OptimalTable(TYPES, bigger, latency=1, backend="scalar").build(),
+                _built(backend="vector").extended(bigger),
+            ),
+        ]
+        for i, (scalar, vector) in enumerate(pairs):
+            assert type(scalar._core) is _DPCore
+            assert type(vector._core) is _VectorCore
+            a, b = tmp_path / f"scalar-{i}.snap", tmp_path / f"numpy-{i}.snap"
+            scalar.save_snapshot(a)
+            vector.save_snapshot(b)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_load_without_numpy(self, tmp_path, monkeypatch):
         path = tmp_path / "t.snap"
         built = _built()
         built.save_snapshot(path)
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        monkeypatch.setattr(dp_vector, "_numpy", lambda: None)
         loaded = OptimalTable.load_snapshot(path)
+        assert isinstance(loaded._core._tau[0], memoryview)
         assert loaded.completion(0, COUNTS) == built.completion(0, COUNTS)
         mset = _instance(COUNTS)
         assert loaded.schedule_for(mset) == built.schedule_for(mset)
+
+    def test_attached_snapshot_grows_without_numpy(self, tmp_path, monkeypatch):
+        """Past its box, a memoryview-attached table converts to the
+        scalar core and answers exactly as a fresh scalar build."""
+        path = tmp_path / "t.snap"
+        _built().save_snapshot(path)
+        monkeypatch.setattr(dp_vector, "_numpy", lambda: None)
+        loaded = OptimalTable.load_snapshot(path)
+        bigger = (COUNTS[0] + 3, COUNTS[1] + 2)
+        grown = loaded.extended(bigger)
+        fresh = OptimalTable(TYPES, bigger, latency=1, backend="scalar").build()
+        assert type(grown._core) is _DPCore
+        assert grown.entries == fresh.entries
+        for s in range(len(TYPES)):
+            for i in range(bigger[0] + 1):
+                for j in range(bigger[1] + 1):
+                    assert grown.completion(s, (i, j)) == fresh.completion(s, (i, j))
+        for counts in (COUNTS, bigger, (bigger[0], 1)):
+            mset = _instance(counts)
+            assert grown.schedule_for(mset) == fresh.schedule_for(mset)
+        # the attached table itself is left untouched
+        assert loaded.spec.max_counts == COUNTS
 
     def test_loaded_table_extends(self, tmp_path):
         """Growth off a read-only mmap core matches a fresh build."""

@@ -14,6 +14,7 @@ import json
 
 from repro.api import Planner, PlanRequest
 from repro.api.solvers import capable_solvers
+from repro.api.tables import TableCacheConfig
 from repro.conformance import generate_corpus
 from repro.core.dp import estimated_states
 from repro.io.serialization import plan_result_to_dict
@@ -45,7 +46,7 @@ def test_group_solve_bit_identical_on_quick_corpus():
     ]
     grouped_planner = Planner(cache_size=0)
     grouped = grouped_planner.plan_batch(requests, group_solve=True)
-    per_instance = Planner(cache_size=0, reuse_tables=False).plan_batch(
+    per_instance = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
         requests, group_solve=False
     )
     assert len(grouped) == len(per_instance) == len(requests)

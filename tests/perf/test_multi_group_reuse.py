@@ -44,7 +44,7 @@ def test_equivalent_groups_collapse_to_one_canonical_solve():
     assert all(r.exact for r in result.group_results)
 
 
-def test_repeated_networks_reuse_tables_across_scenarios():
+def test_repeated_networks_share_tables_across_scenarios():
     """Replanning the same workload family keeps hitting the shared cache."""
     planner = Planner()
     mg_planner = MultiGroupPlanner(planner)

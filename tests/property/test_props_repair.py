@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.api.planner import Planner
 from repro.api.request import PlanRequest
 from repro.api.solvers import available_solvers, resolve
+from repro.api.tables import TableCacheConfig
 from repro.conformance.invariants import canonical_result_payload
 from repro.core.repair import apply_delta, apply_deltas, churn_chain, repair_mode
 from repro.exceptions import ModelError
@@ -52,7 +53,7 @@ def test_repair_identity_over_random_chains(chain, solver):
     if not entry.capabilities.supports(base):
         return
     manager = SessionManager(Planner(cache_size=0))
-    cold = Planner(cache_size=0, reuse_tables=False)
+    cold = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
     opened = manager.open(PlanRequest(instance=base, solver=solver))
     try:
         assert canonical_result_payload(opened.result) == canonical_result_payload(

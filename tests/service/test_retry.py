@@ -218,3 +218,81 @@ class TestEndToEndRecovery:
             client.close()
             service.stop()
             unregister_solver(name)
+
+
+class TestErrorClassification:
+    """Retry decisions follow the error frame's ``retryable`` field, never
+    its text: client input echoed into a permanent error cannot make the
+    client retry it."""
+
+    def test_permanent_error_naming_retryable_is_not_retried(self, service, fig1_mset):
+        _, (host, port) = service
+        client = ServiceClient(
+            host, port, retry=RetryPolicy(attempts=4, base_delay_s=0.01, jitter=0.0)
+        )
+        try:
+            with pytest.raises(ServiceError, match="unknown solver 'retryable'") as exc:
+                client.plan(fig1_mset, solver="retryable")
+            assert not isinstance(exc.value, ServiceRetryableError)
+            assert client.local_metrics.get("retries") == 0
+        finally:
+            client.close()
+
+    def test_injected_solver_error_is_retried(self, service, fig1_mset):
+        _, (host, port) = service
+        client = ServiceClient(
+            host, port, retry=RetryPolicy(attempts=4, base_delay_s=0.01, jitter=0.0)
+        )
+        plan = FaultPlan([FaultSpec("solver.error", count=1)])
+        try:
+            with faults.inject(plan):
+                served = client.plan(fig1_mset, solver="greedy")
+            assert served.result.value == 10
+            assert client.local_metrics.get("retries") == 1
+        finally:
+            client.close()
+
+    def test_full_admission_queue_is_retryable(self, fig1_mset):
+        import threading
+
+        from repro.api import (
+            SolverCapabilities,
+            SolverOutput,
+            register_solver,
+            unregister_solver,
+        )
+        from repro.core.greedy import greedy_schedule
+
+        name = f"occupy-{uuid.uuid4().hex[:8]}"
+        release = threading.Event()
+
+        @register_solver(name, "test: holds the only admission slot",
+                         capabilities=SolverCapabilities(max_n=0))
+        def _occupy(mset, **options):
+            release.wait(10.0)
+            return SolverOutput(schedule=greedy_schedule(mset))
+
+        service = PlanningService(num_shards=1, max_pending=1)
+        host, port = service.start_background(tcp=True)
+        holder = ServiceClient(host, port)
+        client = ServiceClient(
+            host, port, retry=RetryPolicy(attempts=3, base_delay_s=0.01, jitter=0.0)
+        )
+        occupying = threading.Thread(target=holder.plan, args=(fig1_mset, name))
+        try:
+            occupying.start()
+            give_up = time.monotonic() + 10.0
+            while service.metrics.snapshot().get("gauge_queue_depth") != 1:
+                assert time.monotonic() < give_up, "the slot was never taken"
+                time.sleep(0.01)
+            with pytest.raises(ServiceRetryableError, match="admission queue full"):
+                client.plan(fig1_mset, solver="greedy")
+            assert client.local_metrics.get("retries") == 2
+        finally:
+            release.set()
+            occupying.join(10.0)
+            holder.close()
+            client.close()
+            service.stop()
+            unregister_solver(name)
+        assert not occupying.is_alive()

@@ -96,7 +96,7 @@ class TestLifecycleAndAdmission:
     def test_not_running_raises(self, fig1_mset):
         service = PlanningService(num_shards=1)
         with pytest.raises(ServiceError, match="not running"):
-            service.submit_sync(PlanRequest(instance=fig1_mset))
+            InProcessClient(service).plan(PlanRequest(instance=fig1_mset))
 
     def test_double_start_rejected(self):
         service = PlanningService(num_shards=1)
@@ -139,7 +139,7 @@ class TestLifecycleAndAdmission:
 
         assert asyncio.run(go()) == 1
 
-    def test_submit_sync_timeout_raises_service_error(self, fig1_mset):
+    def test_in_process_timeout_raises_service_error(self, fig1_mset):
         import time
         import uuid
 
@@ -156,9 +156,7 @@ class TestLifecycleAndAdmission:
 
         with PlanningService(num_shards=1) as service:
             with pytest.raises(ServiceError, match="timed out"):
-                service.submit_sync(
-                    PlanRequest(instance=fig1_mset, solver=name), timeout=0.2
-                )
+                InProcessClient(service, timeout=0.2).plan(fig1_mset, solver=name)
 
     def test_stop_detaches_store_tier_from_supplied_planner(
         self, tmp_path, fig1_mset

@@ -12,6 +12,7 @@ import pytest
 from repro.api import Planner, PlanRequest
 from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
+from repro.service.client import InProcessClient
 from repro.service.server import PlanningService
 from repro.service.sessions import SessionManager
 from repro.service.shard import ShardRouter
@@ -80,20 +81,16 @@ class TestServiceTableConfig:
         config = TableCacheConfig(snapshot_dir=tmp_path)
         with PlanningService(worker_mode="thread", table_config=config) as service:
             assert service.planner.table_config.snapshot_dir == tmp_path
-            result, tier = service.submit_sync(
-                PlanRequest(instance=_mset(), solver="dp")
-            )
-            assert tier == "solve"
+            served = InProcessClient(service).plan(_mset(), solver="dp")
+            assert served.tier == "solve"
         assert list(tmp_path.glob("table-*.snap"))
         # restart: the shard worker warm-attaches
         with PlanningService(worker_mode="thread", table_config=config) as warm:
-            again, _tier = warm.submit_sync(
-                PlanRequest(instance=_mset(), solver="dp")
-            )
+            again = InProcessClient(warm).plan(_mset(), solver="dp")
             stats = warm.router.tables.stats()
             assert stats["attaches"] == 1
             assert stats["builds"] == 0
-            assert again.value == result.value
+            assert again.result.value == served.result.value
 
     def test_supplied_planner_keeps_its_own_policy(self, tmp_path):
         planner = Planner()

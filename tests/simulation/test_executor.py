@@ -16,11 +16,11 @@ class TestExactExecution:
         assert result.reception_completion == 10
 
     def test_all_schedulers_verify(self, small_random_msets):
-        from repro.algorithms.registry import available_schedulers, get_scheduler
+        from repro.api.solvers import capable_solvers, get_solver
 
         for m in small_random_msets:
-            for name in available_schedulers():
-                schedule = get_scheduler(name)(m)
+            for name in capable_solvers(m):
+                schedule = get_solver(name)(m).schedule
                 result = simulate_schedule(schedule)  # raises on divergence
                 assert result.reception_completion == pytest.approx(
                     schedule.reception_completion
