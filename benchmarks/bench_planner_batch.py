@@ -1,9 +1,8 @@
-"""Planner benchmark — batched-parallel vs serial planning throughput.
+"""Planner benchmark — batch planning throughput, cold and warm.
 
 Plans the same 200-instance suite through :meth:`repro.api.Planner.plan_batch`
-serially and with a thread-pool fan-out, and reports instances/second for
-each mode plus the LRU-cache effect on a repeated batch.  Parallel results
-are asserted identical to serial ones (the batch API's core contract).
+and reports instances/second for a cold batch and for the LRU-cache effect
+on a repeated batch.
 """
 
 from repro.api import Planner, PlanRequest
@@ -12,7 +11,6 @@ from repro.workloads.generator import multicast_from_cluster
 
 SUITE_SIZE = 200
 N = 24
-JOBS = 4
 
 
 def _suite():
@@ -27,17 +25,8 @@ def _suite():
 def test_batch_serial(benchmark):
     requests = _suite()
     planner = Planner(cache_size=0)
-    batch = benchmark(planner.plan_batch, requests, jobs=1)
+    batch = benchmark(planner.plan_batch, requests)
     assert len(batch) == SUITE_SIZE
-    benchmark.extra_info["instances_per_s"] = round(SUITE_SIZE / batch.elapsed_s)
-
-
-def test_batch_parallel(benchmark):
-    requests = _suite()
-    planner = Planner(cache_size=0)
-    batch = benchmark(planner.plan_batch, requests, jobs=JOBS)
-    assert len(batch) == SUITE_SIZE
-    benchmark.extra_info["jobs"] = JOBS
     benchmark.extra_info["instances_per_s"] = round(SUITE_SIZE / batch.elapsed_s)
 
 
@@ -45,15 +34,6 @@ def test_batch_warm_cache(benchmark):
     requests = _suite()
     planner = Planner(cache_size=SUITE_SIZE)
     planner.plan_batch(requests)  # warm
-    batch = benchmark(planner.plan_batch, requests, jobs=1)
+    batch = benchmark(planner.plan_batch, requests)
     assert batch.cache_hits == SUITE_SIZE
     benchmark.extra_info["instances_per_s"] = round(SUITE_SIZE / batch.elapsed_s)
-
-
-def test_parallel_equals_serial():
-    """Non-timed: the contract — fan-out changes nothing but wall-clock."""
-    requests = _suite()
-    serial = Planner(cache_size=0).plan_batch(requests, jobs=1)
-    parallel = Planner(cache_size=0).plan_batch(requests, jobs=JOBS)
-    assert serial.values() == parallel.values()
-    assert [r.schedule for r in serial] == [r.schedule for r in parallel]

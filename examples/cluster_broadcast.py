@@ -41,11 +41,10 @@ def main() -> None:
             f"[{mset.alpha_min:.2f}, {mset.alpha_max:.2f}])",
             ["algorithm", "completion", "vs best"],
         )
-        # every capable solver, fanned out over a thread pool
+        # every capable solver, in one batch
         batch = planner.plan_batch(
             [PlanRequest(instance=mset, solver=name)
              for name in capable_solvers(mset)],
-            jobs=4,
             on_error="skip",
         )
         results = {result.solver: result.value for result in batch}

@@ -59,8 +59,7 @@ def main() -> None:
     # --- batch the whole comparison in one call ---------------------------
     batch = planner.plan_batch(
         [PlanRequest(instance=mset, solver=s, tag=s)
-         for s in ("greedy", "greedy+reversal", "dp")],
-        jobs=2,
+         for s in ("greedy", "greedy+reversal", "dp")]
     )
     print("\nbatched:", {r.tag: r.value for r in batch},
           f"({batch.cache_hits} served from cache)")

@@ -28,7 +28,7 @@ façade:
 8.0
 >>> planner.plan(mset, solver="dp").exact    # same entry point, no special case
 True
->>> planner.plan_batch([mset] * 3, jobs=2).values()
+>>> planner.plan_batch([mset] * 3).values()
 (8.0, 8.0, 8.0)
 
 The direct algorithm functions (``greedy_with_reversal``, ``solve_dp``,

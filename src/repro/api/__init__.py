@@ -18,10 +18,7 @@ Quickstart
 >>> planner = Planner()
 >>> planner.plan(mset, solver="dp").value
 8.0
->>> batch = planner.plan_batch(
-...     [mset, mset], jobs=2
-... )
->>> batch.values()
+>>> planner.plan_batch([mset, mset]).values()
 (8.0, 8.0)
 """
 

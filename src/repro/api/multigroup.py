@@ -111,14 +111,13 @@ class MultiGroupPlanner:
         strategy: str = DEFAULT_STRATEGY,
         *,
         solver: Optional[str] = None,
-        jobs: int = 1,
-        group_solve: Optional[bool] = None,
+        group_solve: bool = True,
     ) -> MultiGroupResult:
         """Plan every group, then compose them under ``strategy``.
 
         ``solver`` is the inner single-group spec (defaults to the
-        planner's default solver); ``jobs`` / ``group_solve`` pass through
-        to :meth:`Planner.plan_batch` for the inner solves.
+        planner's default solver); ``group_solve`` passes through to
+        :meth:`Planner.plan_batch` for the inner solves.
         """
         if not isinstance(instance, MultiGroupInstance):
             raise SolverError(
@@ -137,7 +136,6 @@ class MultiGroupPlanner:
                 PlanRequest(instance=group, solver=inner, tag=f"group-{g}")
                 for g, group in enumerate(instance.groups)
             ],
-            jobs=jobs,
             group_solve=group_solve,
         )
         schedules = [result.schedule for result in batch.results]
@@ -157,8 +155,7 @@ class MultiGroupPlanner:
         instance: MultiGroupInstance,
         *,
         solver: Optional[str] = None,
-        jobs: int = 1,
-        group_solve: Optional[bool] = None,
+        group_solve: bool = True,
     ) -> Dict[str, MultiGroupResult]:
         """Run every registered ``mg-*`` strategy on ``instance``.
 
@@ -169,7 +166,7 @@ class MultiGroupPlanner:
         """
         return {
             name: self.plan_groups(
-                instance, name, solver=solver, jobs=jobs, group_solve=group_solve
+                instance, name, solver=solver, group_solve=group_solve
             )
             for name in available_multi_group_solvers()
         }

@@ -10,15 +10,15 @@ they are merely *equivalent* (renamed nodes, power-of-two-rescaled
 overheads) rather than byte-equal: a cached result is re-bound onto the
 requesting instance bit-identically to a direct solve.
 
-``plan_batch`` fans a sequence of requests out over a thread pool (or, for
-CPU-bound workloads on picklable instances, a process pool) and returns
-results in submission order, identical to serial execution.  With
-``group_solve`` (the default on the thread path) requests whose solver
-declares ``reusable_table`` are first *bucketed by canonical type system*:
-one optimal table per bucket is built (or incrementally extended) for the
-bucket's element-wise maximum destination counts, and every request in the
-bucket is answered by an ``O(n)`` table materialization — the Theorem 2
-closing note amortized across the whole batch.
+``plan_batch`` plans a sequence of requests serially and returns results
+in submission order.  With ``group_solve`` (the default) requests whose
+solver declares ``reusable_table`` are first *bucketed by canonical type
+system*: one optimal table per bucket is built (or incrementally extended)
+for the bucket's element-wise maximum destination counts, and every request
+in the bucket is answered by an ``O(n)`` table materialization — the
+Theorem 2 closing note amortized across the whole batch.  Process-parallel
+solving lives in the planning service's process shards
+(``serve --workers process``), not here.
 
 Beyond the in-memory LRU the planner accepts *external cache tiers*
 (:class:`CacheTier`): objects with ``get``/``put`` keyed by the planner's
@@ -37,7 +37,6 @@ import operator
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -255,11 +254,10 @@ def _from_table(
     return solver_fn
 
 
-#: Shared table cache for planner-less solves: process-pool ``plan_batch``
-#: workers and the planning service's shard workers
-#: (:func:`_plan_standalone`) amortize repeated same-network traffic here.
-#: Results stay bit-identical to direct solves, so callers cannot observe
-#: which path ran.
+#: Shared table cache for planner-less solves: the planning service's shard
+#: workers (:func:`_plan_standalone`) amortize repeated same-network
+#: traffic here.  Results stay bit-identical to direct solves, so callers
+#: cannot observe which path ran.
 _STANDALONE_TABLES: Optional[OptimalTableCache] = OptimalTableCache()
 
 
@@ -296,20 +294,12 @@ def _plan_standalone_with(
 
 
 def _plan_standalone(request: PlanRequest) -> PlanResult:
-    """Process-pool / service-shard entry point: no shared planner state.
+    """Service-shard entry point: no shared planner state.
 
     Reuses the module-level :data:`_STANDALONE_TABLES` so a worker that
     keeps seeing the same network answers from its resident table.
     """
     return _plan_standalone_with(_STANDALONE_TABLES, request)
-
-
-def _plan_standalone_or_error(request: PlanRequest) -> Union[PlanResult, ReproError]:
-    """Like :func:`_plan_standalone` but returns library errors as values."""
-    try:
-        return _plan_standalone(request)
-    except ReproError as exc:
-        return exc
 
 
 class Planner:
@@ -345,7 +335,7 @@ class Planner:
     >>> from repro.api import Planner                       # doctest: +SKIP
     >>> planner = Planner()                                 # doctest: +SKIP
     >>> result = planner.plan(mset, solver="dp")            # doctest: +SKIP
-    >>> batch = planner.plan_batch(requests, jobs=4)        # doctest: +SKIP
+    >>> batch = planner.plan_batch(requests)                # doctest: +SKIP
     """
 
     def __init__(
@@ -452,12 +442,19 @@ class Planner:
         :class:`~repro.core.multicast.MulticastSet` (then ``solver`` and
         ``**options`` configure the request inline).
         """
-        request = self._as_request(job, solver, options)
+        return self._plan_request(self._as_request(job, solver, options))
+
+    def _plan_request(
+        self,
+        request: PlanRequest,
+        solver_fn: Optional[Callable[[MulticastSet], SolverOutput]] = None,
+    ) -> PlanResult:
+        """Look up, else solve and store; ``solver_fn`` is a group-solve table."""
         entry, merged, key = self._request_key(request)
         hit = self._lookup(request, key)
         if hit is not None:
             return hit[0]
-        result = self._solve(entry, request, merged, key[0])
+        result = self._solve(entry, request, merged, key[0], solver_fn=solver_fn)
         self._store(key, result)
         return result
 
@@ -662,24 +659,15 @@ class Planner:
         self,
         jobs_in: Iterable[Plannable],
         *,
-        jobs: int = 1,
-        executor: str = "thread",
         on_error: str = "raise",
-        group_solve: Optional[bool] = None,
+        group_solve: bool = True,
     ) -> BatchResult:
-        """Plan many requests, optionally in parallel; order is preserved.
+        """Plan many requests serially; results keep submission order.
 
         Parameters
         ----------
         jobs_in:
             The requests (``PlanRequest`` or bare instances, mixed freely).
-        jobs:
-            Worker count.  ``1`` runs serially; parallel runs return
-            results identical to serial execution.
-        executor:
-            ``"thread"`` (default; shares this planner's cache) or
-            ``"process"`` (bypasses the shared cache; requests must be
-            picklable).
         on_error:
             ``"raise"`` propagates the first
             :class:`~repro.exceptions.ReproError`; ``"skip"`` drops failed
@@ -691,46 +679,23 @@ class Planner:
             bucket is built (or extended) for the bucket's element-wise
             maximum counts, and every bucketed request is answered by a
             table materialization — bit-identical to per-instance solves.
-            Defaults to on for the thread executor; the process executor
-            cannot share in-memory tables (explicitly requesting it there
-            raises).
+            ``False`` plans instance by instance (the reference path).
         """
         requests = [self._as_request(j, None, {}) for j in jobs_in]
-        if jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {jobs}")
-        if executor not in ("thread", "process"):
-            raise ReproError(f"executor must be 'thread' or 'process', got {executor!r}")
         if on_error not in ("raise", "skip"):
             raise ReproError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        if group_solve is None:
-            group_solve = executor == "thread"
-        elif group_solve and executor == "process":
-            raise ReproError(
-                "group_solve shares in-memory tables and requires the "
-                "thread executor"
-            )
         start = time.perf_counter()
         prepared = self._group_tables(requests) if group_solve else {}
-
-        def plan_one(item: Tuple[int, PlanRequest]) -> Union[PlanResult, ReproError]:
-            index, request = item
-            return self._plan_or_error(request, prepared.get(index))
-
-        outcomes: List[Union[PlanResult, ReproError]]
-        if jobs == 1 or len(requests) <= 1:
-            outcomes = [plan_one(item) for item in enumerate(requests)]
-        elif executor == "thread":
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(plan_one, enumerate(requests)))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_plan_standalone_or_error, requests))
-        for outcome in outcomes:
-            if isinstance(outcome, ReproError) and on_error == "raise":
-                raise outcome
-        results = tuple(o for o in outcomes if isinstance(o, PlanResult))
-        elapsed = time.perf_counter() - start
-        return BatchResult(results=results, elapsed_s=elapsed, jobs=jobs)
+        results: List[PlanResult] = []
+        for index, request in enumerate(requests):
+            try:
+                results.append(self._plan_request(request, prepared.get(index)))
+            except ReproError:
+                if on_error == "raise":
+                    raise
+        return BatchResult(
+            results=tuple(results), elapsed_s=time.perf_counter() - start
+        )
 
     def _group_tables(
         self, requests: Sequence[PlanRequest]
@@ -834,24 +799,6 @@ class Planner:
                 warmed += 1
         return warmed
 
-    def _plan_or_error(
-        self,
-        request: PlanRequest,
-        solver_fn: Optional[Callable[[MulticastSet], SolverOutput]] = None,
-    ) -> Union[PlanResult, ReproError]:
-        try:
-            if solver_fn is None:
-                return self.plan(request)
-            entry, merged, key = self._request_key(request)
-            hit = self._lookup(request, key)
-            if hit is not None:
-                return hit[0]
-            result = self._solve(entry, request, merged, key[0], solver_fn=solver_fn)
-            self._store(key, result)
-            return result
-        except ReproError as exc:
-            return exc
-
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
@@ -892,16 +839,10 @@ def plan(job: Plannable, solver: Optional[str] = None, **options: Any) -> PlanRe
 def plan_batch(
     jobs_in: Iterable[Plannable],
     *,
-    jobs: int = 1,
-    executor: str = "thread",
     on_error: str = "raise",
-    group_solve: Optional[bool] = None,
+    group_solve: bool = True,
 ) -> BatchResult:
     """Batch-plan with the module-level shared :class:`Planner`."""
     return _DEFAULT_PLANNER.plan_batch(
-        jobs_in,
-        jobs=jobs,
-        executor=executor,
-        on_error=on_error,
-        group_solve=group_solve,
+        jobs_in, on_error=on_error, group_solve=group_solve
     )

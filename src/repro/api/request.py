@@ -152,7 +152,6 @@ class BatchResult:
 
     results: Tuple[PlanResult, ...]
     elapsed_s: float = 0.0
-    jobs: int = 1
 
     def __len__(self) -> int:
         return len(self.results)

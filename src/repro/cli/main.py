@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="run every capable solver on an instance")
     cmp_.add_argument("instance", help="instance JSON path")
-    cmp_.add_argument("-j", "--jobs", type=int, default=1,
-                      help="parallel planning workers (default 1 = serial)")
 
     pba = sub.add_parser(
         "plan-batch",
@@ -82,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     pba.add_argument("--solver", default=None,
                      help="solver spec for every instance (default: "
                           "the planner's default)")
-    pba.add_argument("-j", "--jobs", type=int, default=1,
-                     help="parallel planning workers (default 1 = serial)")
     pba.add_argument("--no-group-solve", action="store_true",
                      help="escape hatch: plan instance-by-instance instead "
                           "of bucketing by canonical type system")
@@ -106,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     pgr.add_argument("--compare", action="store_true",
                      help="run every registered mg-* strategy (inner solves "
                           "are shared through the planner cache)")
-    pgr.add_argument("-j", "--jobs", type=int, default=1,
-                     help="parallel inner planning workers (default 1)")
     pgr.add_argument("--json", action="store_true",
                      help="emit one JSON object per strategy")
 
@@ -372,7 +366,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         PlanRequest(instance=mset, solver=name)
         for name in capable_solvers(mset)
     ]
-    batch = plan_batch(requests, jobs=max(1, args.jobs), on_error="skip")
+    batch = plan_batch(requests, on_error="skip")
     table = Table(f"solvers on {args.instance} (n={mset.n})",
                   ["algorithm", "R_T", "vs best"])
     values = {}
@@ -381,8 +375,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     best = min(values.values())
     for name, value in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):
         table.add_row([name, value, f"{value / best:.3f}x"])
-    if args.jobs > 1:
-        table.add_note(f"planned with {args.jobs} parallel workers")
     print(table.render())
     return 0
 
@@ -407,11 +399,7 @@ def _cmd_plan_batch(args: argparse.Namespace) -> int:
             )
         )
     planner = Planner()
-    batch = planner.plan_batch(
-        requests,
-        jobs=max(1, args.jobs),
-        group_solve=False if args.no_group_solve else None,
-    )
+    batch = planner.plan_batch(requests, group_solve=not args.no_group_solve)
     for result in batch:
         if args.json:
             print(json.dumps(plan_result_to_dict(result), sort_keys=True))
@@ -475,19 +463,14 @@ def _cmd_plan_groups(args: argparse.Namespace) -> int:
 
     instance = _load_multi_group(args.groups)
     planner = MultiGroupPlanner()
-    jobs = max(1, args.jobs)
     if args.compare:
         if args.strategy is not None:
             raise ReproError("--compare runs every strategy; drop --strategy")
-        results = planner.compare_strategies(
-            instance, solver=args.solver, jobs=jobs
-        )
+        results = planner.compare_strategies(instance, solver=args.solver)
     else:
         strategy = args.strategy or DEFAULT_STRATEGY
         results = {
-            strategy: planner.plan_groups(
-                instance, strategy, solver=args.solver, jobs=jobs
-            )
+            strategy: planner.plan_groups(instance, strategy, solver=args.solver)
         }
     shared = ", ".join(instance.shared_nodes()) or "(none)"
     if not args.json:

@@ -394,7 +394,7 @@ def _canonical_key(mode: str, repeats: int):
 
 
 # ----------------------------------------------------------------------
-# planner_batch — repro.api throughput, serial and fanned out
+# planner_batch — repro.api batch throughput
 # ----------------------------------------------------------------------
 def _planner_batch(mode: str, repeats: int):
     from repro.api import Planner, PlanRequest
@@ -405,28 +405,22 @@ def _planner_batch(mode: str, repeats: int):
         PlanRequest(instance=_bounded_instance(n, seed=seed), solver="greedy+reversal")
         for seed in range(suite_size)
     ]
-    cases: List[CaseResult] = []
-    for jobs in (1, 4):
-        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
-        stats, batch = measure(
-            lambda: planner.plan_batch(requests, jobs=jobs), repeats=repeats
+    planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
+    stats, batch = measure(lambda: planner.plan_batch(requests), repeats=repeats)
+    if len(batch) != suite_size:
+        raise ReproError(
+            f"planner batch dropped requests: {len(batch)}/{suite_size}"
         )
-        if len(batch) != suite_size:
-            raise ReproError(
-                f"planner batch dropped requests: {len(batch)}/{suite_size}"
-            )
-        cases.append(
-            CaseResult(
-                case=f"jobs={jobs}",
-                timing=stats,
-                extra_info={
-                    "instances": suite_size,
-                    "n": n,
-                    "instances_per_s": round(suite_size / stats.min_s),
-                },
-            )
-        )
-    return cases, {}
+    case = CaseResult(
+        case="serial",
+        timing=stats,
+        extra_info={
+            "instances": suite_size,
+            "n": n,
+            "instances_per_s": round(suite_size / stats.min_s),
+        },
+    )
+    return [case], {}
 
 
 # ----------------------------------------------------------------------
@@ -999,7 +993,7 @@ KERNELS: Dict[str, Kernel] = {
         ),
         Kernel(
             "planner_batch",
-            "repro.api plan_batch throughput, serial and 4-way",
+            "repro.api plan_batch throughput",
             _planner_batch,
         ),
         Kernel(

@@ -672,7 +672,18 @@ class PlanningService:
                 )
             self._thread = None
         loop.close()
-        self.router.shutdown()
+        # the shards may still be finishing a solve whose caller was
+        # already answered "shutting down": bound the wait like the rest
+        closer = threading.Thread(
+            target=self.router.shutdown, name="repro-service-stop", daemon=True
+        )
+        closer.start()
+        closer.join(timeout=self.shutdown_timeout_s)
+        if closer.is_alive():
+            raise ServiceError(
+                f"service stop stuck in phase 'worker shutdown' after "
+                f"{self.shutdown_timeout_s:g}s (workers left to finish)"
+            )
 
     def __enter__(self) -> "PlanningService":
         """Start embedded (no TCP) on entry."""

@@ -52,6 +52,7 @@ import time
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
@@ -110,6 +111,8 @@ class ShardRouter:
         self._executors: Dict[int, Executor] = {}
         self._supervisors: Dict[int, Executor] = {}
         self._deadline_runners: Dict[int, Executor] = {}
+        # shard -> its process worker's last solve abandoned past its deadline
+        self._abandoned: Dict[int, Future] = {}
         self._dispatched: Dict[int, int] = {s: 0 for s in range(num_shards)}
 
     def shard_of(self, routing_key: str) -> int:
@@ -183,7 +186,8 @@ class ShardRouter:
         thread keeps the clock.  An abandoned solve keeps running on this
         thread until it finishes (Python threads cannot be killed);
         subsequent solves for the shard queue behind it, which the
-        admission cap already bounds.
+        admission cap already bounds.  :meth:`shutdown` does not wait for
+        it.
         """
         with self._lock:
             runner = self._deadline_runners.get(shard)
@@ -239,6 +243,8 @@ class ShardRouter:
                 future = executor.submit(_plan_standalone, request)
                 return future.result(deadline_s)
             except FuturesTimeoutError:
+                with self._lock:
+                    self._abandoned[shard] = future
                 raise DeadlineExceededError(
                     f"solve exceeded the {deadline_s:g}s deadline on shard {shard}"
                 ) from None
@@ -333,14 +339,25 @@ class ShardRouter:
             return {f"shard_{s}": n for s, n in sorted(self._dispatched.items())}
 
     def shutdown(self) -> None:
-        """Tear down every lazily-created executor."""
+        """Tear down every lazily-created executor.
+
+        Waits for in-flight solves, but never for one abandoned past its
+        deadline: its result is discarded anyway.  Deadline runners are
+        released without waiting (a thread cannot be killed; it exits when
+        its solve returns), and a process worker still running an
+        abandoned solve is killed.
+        """
         with self._lock:
             executors, self._executors = dict(self._executors), {}
             supervisors, self._supervisors = dict(self._supervisors), {}
             runners, self._deadline_runners = dict(self._deadline_runners), {}
-        for executor in (
-            *supervisors.values(),
-            *runners.values(),
-            *executors.values(),
-        ):
+            abandoned, self._abandoned = dict(self._abandoned), {}
+        for runner in runners.values():
+            runner.shutdown(wait=False, cancel_futures=True)
+        for shard, executor in executors.items():
+            # a broken pool fails its pending futures, so a still-running
+            # abandoned solve is on this shard's current worker
+            if shard in abandoned and not abandoned[shard].done():
+                self._kill_worker(executor)
+        for executor in (*supervisors.values(), *executors.values()):
             executor.shutdown(wait=True)

@@ -1,10 +1,11 @@
-"""Property tests: ``plan_batch`` is order-stable and jobs-invariant.
+"""Property tests: ``plan_batch`` answers exactly what ``plan`` answers.
 
-The batch API's core contract — results come back in submission order and
-a parallel fan-out returns exactly what a serial run returns — is checked
-here for *every* registered solver over Hypothesis-drawn correlated
-instances, comparing canonical result payloads (volatile wall-clock and
-cache-provenance fields neutralized) rather than just values.
+The batch API's core contract — results come back in submission order,
+each byte-identical to planning its request on its own, and two batch runs
+agree — is checked here for *every* registered solver over
+Hypothesis-drawn correlated instances, comparing canonical result payloads
+(volatile wall-clock and cache-provenance fields neutralized) rather than
+just values.
 """
 
 import pytest
@@ -16,8 +17,6 @@ from repro.conformance.invariants import canonical_result_payload
 
 from tests.strategies import multicast_sets
 
-JOBS = 4
-
 
 def _requests(msets, solver):
     return [
@@ -27,35 +26,38 @@ def _requests(msets, solver):
     ]
 
 
-def _payloads(batch):
-    return [canonical_result_payload(result) for result in batch]
+def _payloads(results):
+    return [canonical_result_payload(result) for result in results]
+
+
+def _planned_one_by_one(requests):
+    planner = Planner(cache_size=0)
+    return [planner.plan(request) for request in requests]
 
 
 @pytest.mark.parametrize("solver", available_solvers())
 @settings(max_examples=15, deadline=None)
 @given(msets=st.lists(multicast_sets(max_n=6), min_size=1, max_size=5))
-def test_parallel_batch_identical_to_serial(solver, msets):
+def test_batch_identical_to_per_request_plans(solver, msets):
     requests = _requests(msets, solver)
     if not requests:
         return
-    serial = Planner(cache_size=0).plan_batch(requests, jobs=1)
-    parallel = Planner(cache_size=0).plan_batch(requests, jobs=JOBS)
-    assert _payloads(serial) == _payloads(parallel)
-    # order stability: tags echo back in submission order in both modes
-    assert [r.tag for r in serial] == [req.tag for req in requests]
-    assert [r.tag for r in parallel] == [req.tag for req in requests]
+    batch = Planner(cache_size=0).plan_batch(requests)
+    assert _payloads(batch) == _payloads(_planned_one_by_one(requests))
+    # order stability: tags echo back in submission order
+    assert [r.tag for r in batch] == [req.tag for req in requests]
 
 
 @pytest.mark.parametrize("solver", available_solvers())
 @settings(max_examples=10, deadline=None)
 @given(msets=st.lists(multicast_sets(max_n=5), min_size=2, max_size=4))
 def test_batch_runs_are_reproducible(solver, msets):
-    """Two independent parallel batches agree bit-for-bit."""
+    """Two independent batches agree bit-for-bit."""
     requests = _requests(msets, solver)
     if not requests:
         return
-    first = Planner(cache_size=0).plan_batch(requests, jobs=JOBS)
-    second = Planner(cache_size=0).plan_batch(requests, jobs=JOBS)
+    first = Planner(cache_size=0).plan_batch(requests)
+    second = Planner(cache_size=0).plan_batch(requests)
     assert _payloads(first) == _payloads(second)
 
 
@@ -68,7 +70,6 @@ def test_mixed_solver_batch_is_order_stable(msets):
         for i, mset in enumerate(msets)
         for solver in capable_solvers(mset)
     ]
-    serial = Planner(cache_size=0).plan_batch(requests, jobs=1)
-    parallel = Planner(cache_size=0).plan_batch(requests, jobs=JOBS)
-    assert [r.tag for r in parallel] == [req.tag for req in requests]
-    assert _payloads(serial) == _payloads(parallel)
+    batch = Planner(cache_size=0).plan_batch(requests)
+    assert [r.tag for r in batch] == [req.tag for req in requests]
+    assert _payloads(batch) == _payloads(_planned_one_by_one(requests))

@@ -7,7 +7,7 @@ import pytest
 from repro.api import Planner, PlanRequest
 from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
-from repro.exceptions import ReproError, SolverError
+from repro.exceptions import SolverError
 from repro.io.serialization import plan_result_to_dict
 
 
@@ -75,14 +75,6 @@ class TestGroupParity:
         assert [r.solver for r in batch] == ["dp", "greedy", "greedy+reversal", "exact"]
         assert planner.table_cache.builds == 1
 
-    def test_parallel_jobs_match_serial(self):
-        requests = _sweep(5)
-        serial = Planner(cache_size=0).plan_batch(requests, group_solve=True)
-        parallel = Planner(cache_size=0).plan_batch(
-            requests, jobs=4, group_solve=True
-        )
-        assert [_canonical(r) for r in serial] == [_canonical(r) for r in parallel]
-
     def test_group_solve_without_table_reuse_is_batch_local(self):
         # a disabled table cache still amortizes within an explicit group batch
         planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
@@ -122,24 +114,6 @@ class TestGroupGuards:
         ]
         batch = planner.plan_batch(requests, on_error="skip", group_solve=True)
         assert [r.tag for r in batch] == ["ok", "ok2"]
-
-    def test_group_solve_rejected_on_process_executor(self):
-        planner = Planner(cache_size=0)
-        with pytest.raises(ReproError, match="thread executor"):
-            planner.plan_batch(
-                [PlanRequest(instance=_two_type(2, 2), solver="dp")],
-                executor="process",
-                group_solve=True,
-            )
-
-    def test_default_group_solve_off_for_process_executor(self):
-        planner = Planner(cache_size=0)
-        batch = planner.plan_batch(
-            [PlanRequest(instance=_two_type(2, 2), solver="dp")] * 2,
-            jobs=2,
-            executor="process",
-        )
-        assert len(batch) == 2
 
 
 class TestPrewarm:

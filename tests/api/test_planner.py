@@ -164,21 +164,9 @@ class TestCache:
 
 
 class TestBatch:
-    def test_parallel_equals_serial(self):
-        requests = [
-            PlanRequest(instance=mset, solver=solver)
-            for mset in _suite()
-            for solver in ("greedy", "greedy+reversal", "dp")
-        ]
-        serial = Planner(cache_size=0).plan_batch(requests, jobs=1)
-        parallel = Planner(cache_size=0).plan_batch(requests, jobs=4)
-        assert serial.values() == parallel.values()
-        assert [r.schedule for r in serial] == [r.schedule for r in parallel]
-        assert [r.solver for r in serial] == [r.solver for r in parallel]
-
     def test_batch_preserves_submission_order(self):
         msets = _suite(count=8)
-        batch = Planner().plan_batch(msets, jobs=3)
+        batch = Planner().plan_batch(msets)
         for mset, result in zip(msets, batch):
             assert result.schedule.multicast == mset
 
@@ -207,10 +195,6 @@ class TestBatch:
         assert len(batch) == 1 and batch[0].value == 8
 
     def test_invalid_batch_parameters(self, fig1_mset):
-        with pytest.raises(ReproError, match="jobs"):
-            Planner().plan_batch([fig1_mset], jobs=0)
-        with pytest.raises(ReproError, match="executor"):
-            Planner().plan_batch([fig1_mset], executor="fiber")
         with pytest.raises(ReproError, match="on_error"):
             Planner().plan_batch([fig1_mset], on_error="retry")
 
@@ -218,7 +202,7 @@ class TestBatch:
 class TestModuleLevelFacade:
     def test_plan_and_plan_batch(self, fig1_mset):
         assert plan(fig1_mset, solver="dp").value == 8
-        assert plan_batch([fig1_mset] * 2, jobs=2).values() == (8.0, 8.0)
+        assert plan_batch([fig1_mset] * 2).values() == (8.0, 8.0)
 
 
 class TestFingerprint:

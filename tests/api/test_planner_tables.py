@@ -108,13 +108,13 @@ class TestReuse:
         planner.plan(_two_type(4, 4), "greedy")
         assert len(planner.table_cache) == 0
 
-    def test_parallel_batch_shares_the_table(self):
+    def test_batch_shares_the_table(self):
         planner = Planner(cache_size=0)
         requests = [
             PlanRequest(instance=_two_type(fast, 8 - fast), solver="dp")
             for fast in range(1, 8)
         ] * 2
-        batch = planner.plan_batch(requests, jobs=4)
+        batch = planner.plan_batch(requests)
         serial = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan_batch(
             requests
         )

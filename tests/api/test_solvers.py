@@ -189,3 +189,39 @@ class TestRemovedAliases:
         assert not hasattr(dp_vector, "vector_engine")
         assert not hasattr(dp_vector, "NO_NUMPY_ENV")
         assert hasattr(dp_vector, "numpy_available")
+
+    @pytest.mark.parametrize("knob", [{"jobs": 2}, {"executor": "thread"}])
+    def test_batch_fan_out_knobs_are_gone(self, knob, fig1_mset):
+        from repro.api import MultiGroupPlanner, Planner, plan_batch
+        from repro.core.contention import MultiGroupInstance
+
+        with pytest.raises(TypeError):
+            plan_batch([fig1_mset], **knob)
+        with pytest.raises(TypeError):
+            Planner().plan_batch([fig1_mset], **knob)
+        if "jobs" in knob:
+            with pytest.raises(TypeError):
+                MultiGroupPlanner().plan_groups(
+                    MultiGroupInstance((fig1_mset,)), **knob
+                )
+        # the replacement: a serial call
+        assert plan_batch([fig1_mset] * 2).values() == (8.0, 8.0)
+
+    def test_batch_result_has_no_jobs(self):
+        import dataclasses
+
+        from repro.api import BatchResult
+
+        assert "jobs" not in {f.name for f in dataclasses.fields(BatchResult)}
+        assert not hasattr(BatchResult(results=()), "jobs")
+
+    @pytest.mark.parametrize("command", ["compare", "plan-batch", "plan-groups"])
+    def test_cli_jobs_flag_is_gone(self, command, tmp_path, fig1_mset, capsys):
+        from repro.cli.main import main
+        from repro.io.serialization import save_json
+
+        path = str(save_json(fig1_mset, tmp_path / "instance.json"))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, path, "--jobs", "4"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -244,6 +244,22 @@ class TestDocsConsistency:
         ):
             assert token in api, f"API.md batch-planning docs missing {token!r}"
 
+    def test_batch_fan_out_knobs_only_in_the_compatibility_note(self):
+        """The removed ``jobs``/``executor`` knobs and ``--jobs`` flag are
+        named only where API.md maps them to their replacement."""
+        api = (REPO / "API.md").read_text()
+        note = re.search(r"^## Compatibility notes\n.*?(?=^## |\Z)", api, re.M | re.S)
+        assert note is not None and "serve --workers process" in note.group(0)
+        docs = {
+            "README.md": (REPO / "README.md").read_text(),
+            "API.md": api.replace(note.group(0), ""),
+        }
+        for name, text in docs.items():
+            for token in ("jobs=", "executor=", "--jobs"):
+                assert token not in text, f"{name} still mentions {token!r}"
+        for token in ("jobs=", "executor=", "--jobs", "BatchResult.jobs"):
+            assert token in note.group(0)
+
     def test_batch_amortized_baseline_carries_the_floor(self):
         """The committed group-solve baseline enforces the >= 3x floor."""
         from repro.perf import load_baseline
